@@ -12,10 +12,9 @@ import csv
 import json
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Any, Callable, Sequence
 
 from .divergence import DivergenceConfig, kl_div
 from .errors import (
@@ -38,6 +37,29 @@ from .patterns import (
 # Symmetrized entries may dip this far below zero before it is treated as a
 # smoothing pathology rather than rounding noise.
 _NEGATIVE_TOLERANCE = -1e-9
+
+
+def _map(fn: Callable[[Any], Any], tasks: Sequence[Any], jobs: int) -> list[Any]:
+    """fn over tasks, in order; in worker processes when more than one can be busy.
+
+    Workers are capped by the task count and the CPU count, so `jobs` never
+    starts idle processes. The pool module is imported only when a pool
+    starts, which keeps its import time out of every serial command.
+    """
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _newick_label(name: str) -> str:
+    """A leaf label, quoted when it holds whitespace or Newick punctuation."""
+    if any(ch.isspace() or ch in "()[]':;," for ch in name):
+        return "'" + name.replace("'", "''") + "'"
+    return name
 
 
 @dataclass(frozen=True)
@@ -85,7 +107,7 @@ class Dendrogram:
         """Ultrametric Newick string; leaves sit at half the merge height."""
         n = len(self.leaves)
         if not self.merges:
-            return f"{self.leaves[0]};"
+            return f"{_newick_label(self.leaves[0])};"
         height = {i: 0.0 for i in range(n)}
         children: dict[int, tuple[int, int]] = {}
         for merge in self.merges:
@@ -95,7 +117,7 @@ class Dendrogram:
         def render(node: int, parent_height: float) -> str:
             length = parent_height / 2.0 - height[node] / 2.0
             if node < n:
-                return f"{self.leaves[node]}:{length:.12g}"
+                return f"{_newick_label(self.leaves[node])}:{length:.12g}"
             a, b = children[node]
             inner = f"({render(a, height[node])},{render(b, height[node])})"
             return f"{inner}:{length:.12g}"
@@ -152,11 +174,7 @@ def pairwise_matrix(
             raise FilterTooLargeError(f"level {name}: {exc}") from exc
     n = len(dists)
     tasks = [(i, dists, config.epsilon) for i in range(n)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            directed = list(pool.map(_directed_row, tasks))
-    else:
-        directed = [_directed_row(task) for task in tasks]
+    directed = _map(_directed_row, tasks, jobs)
     w = config.weight
     values = tuple(
         tuple(
@@ -326,11 +344,7 @@ def compare_sets(
     }
     columns = tuple((dims, float(w)) for dims in filters for w in weights)
     tasks = [(d, training_dists, epsilon) for d in generated_dirs]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            loaded = list(pool.map(_compare_one_directory, tasks))
-    else:
-        loaded = [_compare_one_directory(task) for task in tasks]
+    loaded = _map(_compare_one_directory, tasks, jobs)
     rows = []
     cells = []
     skipped = []

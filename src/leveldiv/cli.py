@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+# argparse imports locale (through gettext) whenever it builds a parser, so
+# every command needs it: importing it here keeps that fixed cost in start-up.
+import locale  # noqa: F401
+import math
 import secrets
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -33,21 +36,6 @@ from .patterns import (
     merge_distributions,
     write_frequency_csv,
 )
-
-
-@dataclass(frozen=True)
-class GlobalOptions:
-    """Flags shared by every subcommand that computes divergences."""
-
-    epsilon: float = 1e-5
-    dims: FilterDims = FilterDims(4, 4)
-    weight: float = 0.5
-    seed: int | None = None
-    out: str | None = None
-    verbosity: int = 0
-
-    def divergence_config(self) -> DivergenceConfig:
-        return DivergenceConfig(epsilon=self.epsilon, dims=self.dims, weight=self.weight)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,8 +76,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
     return value
 
 
@@ -116,19 +104,12 @@ def _open_out(path: str | None) -> Iterator[IO[str]]:
             yield stream
 
 
-def _options(args: argparse.Namespace) -> GlobalOptions:
-    return GlobalOptions(
-        epsilon=args.epsilon,
-        dims=getattr(args, "filter", FilterDims(4, 4)),
-        weight=getattr(args, "weight", 0.5),
-        seed=getattr(args, "seed", None),
-        out=args.out,
-        verbosity=args.verbose,
-    )
+def _divergence_config(args: argparse.Namespace) -> DivergenceConfig:
+    return DivergenceConfig(epsilon=args.epsilon, dims=args.filter, weight=args.weight)
 
 
-def _note(opts: GlobalOptions, message: str) -> None:
-    if opts.verbosity:
+def _note(args: argparse.Namespace, message: str) -> None:
+    if args.verbose:
         print(message, file=sys.stderr)
 
 
@@ -136,40 +117,36 @@ def _note(opts: GlobalOptions, message: str) -> None:
 
 
 def _cmd_patterns(args: argparse.Namespace) -> int:
-    opts = _options(args)
-    dists = [extract_distribution(_read_level(p), opts.dims) for p in args.levels]
+    dists = [extract_distribution(_read_level(p), args.filter) for p in args.levels]
     merged = merge_distributions(dists)
-    _note(opts, f"{merged.distinct} distinct {opts.dims} patterns, total {merged.total}")
-    with _open_out(opts.out) as stream:
+    _note(args, f"{merged.distinct} distinct {args.filter} patterns, total {merged.total}")
+    with _open_out(args.out) as stream:
         write_frequency_csv(merged, stream)
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    opts = _options(args)
-    config = opts.divergence_config()
-    p_dist = extract_distribution(_read_level(args.p_level), opts.dims)
-    q_dist = extract_distribution(_read_level(args.q_level), opts.dims)
-    result = fitness(p_dist, q_dist, config)
-    with _open_out(opts.out) as stream:
+    p_dist = extract_distribution(_read_level(args.p_level), args.filter)
+    q_dist = extract_distribution(_read_level(args.q_level), args.filter)
+    result = fitness(p_dist, q_dist, _divergence_config(args))
+    with _open_out(args.out) as stream:
         print(f"kl_p_q: {result.kl_p_q!r}", file=stream)
         print(f"kl_q_p: {result.kl_q_p!r}", file=stream)
         print(f"fitness: {result.fitness!r}", file=stream)
     if args.contributions is not None:
-        report = contributions(p_dist, q_dist, opts.epsilon)
+        report = contributions(p_dist, q_dist, args.epsilon)
         with _open_out(args.contributions) as stream:
             write_contributions_csv(report, stream, top=args.top)
     return 0
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    opts = _options(args)
     training = _read_level_set(args.levels)
-    seed = opts.seed if opts.seed is not None else secrets.randbits(64)
+    seed = args.seed if args.seed is not None else secrets.randbits(64)
     print(f"seed: {seed}", file=sys.stderr)
     mutation = Flip(rate=args.flip_rate) if args.mutation == "flip" else Conv()
     config = EvolutionConfig(
-        divergence=opts.divergence_config(),
+        divergence=_divergence_config(args),
         target_width=args.width,
         target_height=args.height,
         budget=args.budget,
@@ -178,8 +155,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         accept_equal=args.accept_equal,
     )
     result = hill_climb(training, config)
-    _note(opts, f"final fitness {result.best_fitness!r} after {result.elapsed:.2f}s")
-    with _open_out(opts.out) as stream:
+    _note(args, f"final fitness {result.best_fitness!r} after {result.elapsed:.2f}s")
+    with _open_out(args.out) as stream:
         stream.write(serialize_level(result.best) + "\n")
     if args.trace is not None:
         with _open_out(args.trace) as stream:
@@ -197,9 +174,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    opts = _options(args)
     levels = _read_level_set(args.levels)
-    matrix = pairwise_matrix(levels, opts.divergence_config(), jobs=args.jobs)
+    matrix = pairwise_matrix(levels, _divergence_config(args), jobs=args.jobs)
     dendrogram = average_linkage(matrix)
     if args.matrix_out is not None:
         with _open_out(args.matrix_out) as stream:
@@ -210,7 +186,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.newick_out is not None:
         with _open_out(args.newick_out) as stream:
             stream.write(dendrogram.newick() + "\n")
-    with _open_out(opts.out) as stream:
+    with _open_out(args.out) as stream:
         if args.cut is None:
             matrix.write_csv(stream)
         else:
@@ -223,7 +199,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    opts = _options(args)
     training = _read_level_set(args.training)
     filters = args.filters or [FilterDims(4, 4)]
     weights = args.weights or [0.5]
@@ -232,24 +207,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         args.dirs,
         filters,
         weights,
-        epsilon=opts.epsilon,
+        epsilon=args.epsilon,
         jobs=args.jobs,
     )
     for name, skipped in zip(table.rows, table.skipped):
         if skipped:
             print(f"warning: skipped {skipped} unparseable file(s) in {name}",
                   file=sys.stderr)
-    with _open_out(opts.out) as stream:
+    with _open_out(args.out) as stream:
         table.write_csv(stream)
     return 0
 
 
 def _cmd_snippets(args: argparse.Namespace) -> int:
-    opts = _options(args)
     training = _read_level_set(args.levels)
-    rows = snippet_fitness(training, args.width, opts.divergence_config())
-    _note(opts, f"{len(rows)} snippets of width {args.width}")
-    with _open_out(opts.out) as stream:
+    rows = snippet_fitness(training, args.width, _divergence_config(args))
+    _note(args, f"{len(rows)} snippets of width {args.width}")
+    with _open_out(args.out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["offset", "fitness"])
         for offset, value in rows:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterable, Iterator
 
 from .errors import DimsMismatchError, EmptyDistributionError
 from .patterns import FilterDims, Pattern, PatternDistribution
@@ -57,9 +57,6 @@ class ContributionReport:
 
     entries: tuple[ContributionEntry, ...]
 
-    def total(self) -> float:
-        return sum(entry.summand for entry in self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -86,23 +83,41 @@ def _check_pair(p: PatternDistribution, q: PatternDistribution, epsilon: float) 
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
 
 
+def _smoothed(
+    counts: Iterable[int], total: int, epsilon: float
+) -> dict[int, tuple[float, float]]:
+    """P' and log P' for each distinct count; patterns seen equally often share them."""
+    table = {}
+    for count in counts:
+        prob = smoothed_prob(count, total, epsilon)
+        table[count] = (prob, math.log(prob))
+    return table
+
+
+def _terms(
+    p: PatternDistribution, q: PatternDistribution, epsilon: float
+) -> Iterator[tuple[str, float, float, float]]:
+    """(cells, P', Q', summand) for every pattern of p, in sorted pattern order."""
+    _check_pair(p, q, epsilon)
+    p_counts = p.counts
+    q_get = q.counts.get
+    p_smoothed = _smoothed(set(p_counts.values()), p.total, epsilon)
+    q_smoothed = _smoothed({0, *q.counts.values()}, q.total, epsilon)
+    for cells in sorted(p_counts):
+        p_prime, log_p = p_smoothed[p_counts[cells]]
+        q_prime, log_q = q_smoothed[q_get(cells, 0)]
+        yield cells, p_prime, q_prime, p_prime * (log_p - log_q)
+
+
 def kl_div(p: PatternDistribution, q: PatternDistribution, epsilon: float) -> float:
     """Directed divergence of q from p, over the patterns of p only.
 
     Terms are accumulated in sorted pattern order so repeated runs are
     bit-identical; kl_div(p, p) is exactly 0 because every log ratio is 0.
     """
-    _check_pair(p, q, epsilon)
-    log = math.log
-    p_counts = p.counts
-    p_total = p.total
-    q_counts = q.counts
-    q_total = q.total
     total = 0.0
-    for cells in sorted(p_counts):
-        p_prime = smoothed_prob(p_counts[cells], p_total, epsilon)
-        q_prime = smoothed_prob(q_counts.get(cells, 0), q_total, epsilon)
-        total += p_prime * (log(p_prime) - log(q_prime))
+    for _, _, _, summand in _terms(p, q, epsilon):
+        total += summand
     return total
 
 
@@ -128,14 +143,10 @@ def contributions(
 
     Ties are broken by pattern key, so the report order is deterministic.
     """
-    _check_pair(p, q, epsilon)
-    log = math.log
-    entries = []
-    for cells in sorted(p.counts):
-        p_prime = smoothed_prob(p.counts[cells], p.total, epsilon)
-        q_prime = smoothed_prob(q.counts.get(cells, 0), q.total, epsilon)
-        summand = p_prime * (log(p_prime) - log(q_prime))
-        entries.append(ContributionEntry(Pattern(p.dims, cells), p_prime, q_prime, summand))
+    entries = [
+        ContributionEntry(Pattern(p.dims, cells), p_prime, q_prime, summand)
+        for cells, p_prime, q_prime, summand in _terms(p, q, epsilon)
+    ]
     entries.sort(key=lambda entry: (-entry.summand, entry.pattern.key))
     return ContributionReport(tuple(entries))
 

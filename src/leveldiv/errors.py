@@ -14,7 +14,7 @@ class RaggedRowsError(LevelDivError):
 
 
 class InvalidCharacterError(LevelDivError):
-    """A tile symbol is not a printable, non-newline character."""
+    """A tile symbol is not a printable, non-newline character, or a file is not UTF-8."""
 
 
 class LevelIoError(LevelDivError):

@@ -20,14 +20,8 @@ import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
-from .divergence import (
-    DivergenceConfig,
-    DivergenceResult,
-    fitness,
-    smoothed_prob,
-    weighted_fitness,
-)
-from .errors import FilterTooLargeError, SnippetTooWideError
+from .divergence import DivergenceConfig, fitness, smoothed_prob, weighted_fitness
+from .errors import DimsMismatchError, FilterTooLargeError, SnippetTooWideError
 from .levels import LevelSet, TileAlphabet, TileGrid
 from .patterns import (
     FilterDims,
@@ -45,13 +39,64 @@ class Flip:
     rate: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"flip rate must be > 0, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"flip rate must be finite and > 0, got {self.rate}")
+
+    def edits(
+        self, rows: list[str], training: LevelSet, dims: FilterDims, rng: random.Random
+    ) -> list[GridEdit]:
+        """Single-cell edits of one application; empty for singleton alphabets.
+
+        Each cell flips with probability rate/(width*height) to a symbol of the
+        training alphabet other than its own. Draw order: one rng.random() per
+        cell in row-major order, plus one rng.randrange() per flipped cell.
+        """
+        symbols = training.alphabet.symbols
+        n = len(symbols)
+        if n < 2:
+            return []
+        height = len(rows)
+        width = len(rows[0])
+        prob = self.rate / (width * height)
+        edits = []
+        for y in range(height):
+            row = rows[y]
+            for x in range(width):
+                if rng.random() < prob:
+                    current = row[x]
+                    # Uniform over the other n-1 symbols: collisions with the
+                    # current symbol map to the last one, which the draw skips.
+                    symbol = symbols[rng.randrange(n - 1)]
+                    if symbol == current:
+                        symbol = symbols[n - 1]
+                    edits.append(GridEdit(x, y, (symbol,)))
+        return edits
 
 
 @dataclass(frozen=True)
 class Conv:
     """Copy one filter-sized patch from a training level into the candidate."""
+
+    def edits(
+        self, rows: list[str], training: LevelSet, dims: FilterDims, rng: random.Random
+    ) -> list[GridEdit]:
+        """One edit pasting a random filter-sized training patch at a random spot.
+
+        Training level, source corner and destination corner are each uniform.
+        Draw order: training level index, source x, source y, destination x,
+        destination y, each uniform via rng.randrange().
+        """
+        width, height = len(rows[0]), len(rows)
+        window_count(width, height, dims)
+        source = training.levels[rng.randrange(len(training.levels))][1]
+        sx = rng.randrange(1 + source.width - dims.width)
+        sy = rng.randrange(1 + source.height - dims.height)
+        dx = rng.randrange(1 + width - dims.width)
+        dy = rng.randrange(1 + height - dims.height)
+        patch = tuple(
+            source.rows[sy + i][sx : sx + dims.width] for i in range(dims.height)
+        )
+        return [GridEdit(dx, dy, patch)]
 
 
 MutationKind = Flip | Conv
@@ -153,9 +198,6 @@ class CandidateCounts:
     def grid(self) -> TileGrid:
         return TileGrid(tuple(self.rows))
 
-    def distribution(self) -> PatternDistribution:
-        return PatternDistribution(self.dims, dict(self.counts), self.total)
-
     def apply(self, edit: GridEdit) -> GridEdit:
         """Apply `edit`, recount only windows overlapping it, return the undo edit."""
         x, y = edit.x, edit.y
@@ -197,26 +239,23 @@ class CandidateCounts:
         return GridEdit(x, y, undo_rows)
 
 
-def incremental_fitness_update(state: CandidateCounts, edit: GridEdit) -> CandidateCounts:
-    """Fold `edit` into the cached counts; only overlapping windows are recounted."""
-    state.apply(edit)
-    return state
-
-
 class FitnessEvaluator:
     """Fitness of evolving candidates against a fixed training distribution.
 
     The candidate's window total is fixed by its dimensions, so both smoothed
     estimates reduce to per-count lookup tables built once up front. Sums run
     in the same order and with the same expressions as kl_div, which makes the
-    fast path bit-identical to the from-scratch one.
+    fast path bit-identical to the from-scratch one; acceptance criterion 8
+    and test_evaluator_matches_scratch_fitness check that bit for bit. The
+    summand is written out here rather than shared with kl_div because this
+    loop runs once per evaluation, and a call per term would slow the climb.
     """
 
     def __init__(
         self, training: PatternDistribution, config: DivergenceConfig, candidate_total: int
     ):
         if training.dims != config.dims:
-            raise FilterTooLargeError(
+            raise DimsMismatchError(
                 f"training distribution is {training.dims} but config expects {config.dims}"
             )
         self.config = config
@@ -258,12 +297,6 @@ class FitnessEvaluator:
         kl_p_q, kl_q_p = self.divergences(state)
         return weighted_fitness(kl_p_q, kl_q_p, self.config.weight)
 
-    def result_of(self, state: CandidateCounts) -> DivergenceResult:
-        kl_p_q, kl_q_p = self.divergences(state)
-        return DivergenceResult(
-            kl_p_q, kl_q_p, weighted_fitness(kl_p_q, kl_q_p, self.config.weight)
-        )
-
 
 def random_init(
     alphabet: TileAlphabet, width: int, height: int, rng: random.Random
@@ -273,93 +306,6 @@ def random_init(
     return TileGrid(
         tuple("".join(rng.choice(symbols) for _ in range(width)) for _ in range(height))
     )
-
-
-def _flip_edits(
-    rows: list[str], rate: float, symbols: tuple[str, ...], rng: random.Random
-) -> list[GridEdit]:
-    """Single-cell edits of one flip application; empty for singleton alphabets.
-
-    Draw order: one rng.random() per cell in row-major order, plus one
-    rng.randrange() per flipped cell.
-    """
-    n = len(symbols)
-    if n < 2:
-        return []
-    height = len(rows)
-    width = len(rows[0])
-    prob = rate / (width * height)
-    edits = []
-    for y in range(height):
-        row = rows[y]
-        for x in range(width):
-            if rng.random() < prob:
-                current = row[x]
-                # Uniform over the other n-1 symbols: collisions with the
-                # current symbol map to the last one, which the draw skips.
-                symbol = symbols[rng.randrange(n - 1)]
-                if symbol == current:
-                    symbol = symbols[n - 1]
-                edits.append(GridEdit(x, y, (symbol,)))
-    return edits
-
-
-def flip_mutate(
-    grid: TileGrid, rate: float, alphabet: TileAlphabet, rng: random.Random
-) -> TileGrid:
-    """Mutate each cell with probability rate/(width*height) to a different symbol.
-
-    Returns a new grid; the input is untouched. With a single-symbol alphabet
-    there is nothing to flip to, so the grid comes back unchanged.
-    """
-    if rate <= 0:
-        raise ValueError(f"flip rate must be > 0, got {rate}")
-    rows = list(grid.rows)
-    for edit in _flip_edits(rows, rate, alphabet.symbols, rng):
-        row = rows[edit.y]
-        rows[edit.y] = row[: edit.x] + edit.rows[0] + row[edit.x + 1 :]
-    return TileGrid(tuple(rows))
-
-
-def _conv_edit(
-    candidate_width: int,
-    candidate_height: int,
-    training: LevelSet,
-    dims: FilterDims,
-    rng: random.Random,
-) -> GridEdit:
-    """One convolutional mutation as an edit.
-
-    Draw order: training level index, source x, source y, destination x,
-    destination y, each uniform via rng.randrange().
-    """
-    window_count(candidate_width, candidate_height, dims)
-    source = training.levels[rng.randrange(len(training.levels))][1]
-    sx = rng.randrange(1 + source.width - dims.width)
-    sy = rng.randrange(1 + source.height - dims.height)
-    dx = rng.randrange(1 + candidate_width - dims.width)
-    dy = rng.randrange(1 + candidate_height - dims.height)
-    patch = tuple(
-        source.rows[sy + i][sx : sx + dims.width] for i in range(dims.height)
-    )
-    return GridEdit(dx, dy, patch)
-
-
-def conv_mutate(
-    grid: TileGrid, training: LevelSet, dims: FilterDims, rng: random.Random
-) -> TileGrid:
-    """Copy a random filter-sized training patch to a random spot in `grid`.
-
-    Training level, source corner and destination corner are each uniform.
-    Returns a new grid; the input is untouched.
-    """
-    _check_training_fits(training, dims)
-    edit = _conv_edit(grid.width, grid.height, training, dims, rng)
-    rows = list(grid.rows)
-    for i, patch_row in enumerate(edit.rows):
-        row = rows[edit.y + i]
-        rows[edit.y + i] = row[: edit.x] + patch_row + row[edit.x + edit.width :]
-    return TileGrid(tuple(rows))
 
 
 def _check_training_fits(training: LevelSet, dims: FilterDims) -> None:
@@ -404,13 +350,8 @@ def hill_climb(training: LevelSet, config: EvolutionConfig) -> EvolutionResult:
     entries = [TraceEntry(0, parent_fitness, best_fitness)]
     mutation = config.mutation
     accept_equal = config.accept_equal
-    symbols = training.alphabet.symbols
-    flip = isinstance(mutation, Flip)
     for index in range(1, config.budget + 1):
-        if flip:
-            edits = _flip_edits(state.rows, mutation.rate, symbols, rng)
-        else:
-            edits = [_conv_edit(state.width, state.height, training, dims, rng)]
+        edits = mutation.edits(state.rows, training, dims, rng)
         undos = [state.apply(edit) for edit in edits]
         child_fitness = evaluator.fitness_of(state)
         if child_fitness > parent_fitness or (

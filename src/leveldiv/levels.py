@@ -9,7 +9,7 @@ relies on.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -21,21 +21,6 @@ from .errors import (
     RaggedRowsError,
 )
 
-# Symbols used by the Super Mario Bros. corpus, with display names.
-MARIO_TILE_NAMES = {
-    "X": "solid/ground",
-    "S": "breakable",
-    "-": "empty",
-    "?": "full question block",
-    "Q": "empty question block",
-    "E": "enemy",
-    "<": "top-left pipe",
-    ">": "top-right pipe",
-    "[": "left pipe",
-    "]": "right pipe",
-    "o": "coin",
-}
-
 
 def _valid_symbol(ch: str) -> bool:
     return ch.isprintable()
@@ -46,7 +31,6 @@ class TileAlphabet:
     """Ordered set of tile symbols (insertion order of first occurrence)."""
 
     symbols: tuple[str, ...]
-    names: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.symbols:
@@ -58,20 +42,12 @@ class TileAlphabet:
                 raise InvalidCharacterError(f"invalid tile symbol: {ch!r}")
 
     @classmethod
-    def from_symbols(cls, symbols: Iterable[str], names: dict[str, str] | None = None) -> TileAlphabet:
+    def from_symbols(cls, symbols: Iterable[str]) -> TileAlphabet:
         """Build an alphabet keeping the first occurrence order, dropping repeats."""
         seen: dict[str, None] = {}
         for ch in symbols:
             seen.setdefault(ch, None)
-        return cls(tuple(seen), dict(names or {}))
-
-    def union(self, other: TileAlphabet) -> TileAlphabet:
-        return TileAlphabet.from_symbols(
-            self.symbols + other.symbols, {**other.names, **self.names}
-        )
-
-    def name_of(self, symbol: str) -> str:
-        return self.names.get(symbol, symbol)
+        return cls(tuple(seen))
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.symbols
@@ -81,9 +57,6 @@ class TileAlphabet:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-
-MARIO_ALPHABET = TileAlphabet(tuple(MARIO_TILE_NAMES), dict(MARIO_TILE_NAMES))
 
 
 @dataclass(frozen=True)
@@ -135,10 +108,6 @@ class TileGrid:
                 f"crop {width}x{height}@({x},{y}) outside {self.width}x{self.height} grid"
             )
         return TileGrid(tuple(row[x : x + width] for row in self.rows[y : y + height]))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[str]) -> TileGrid:
-        return cls(tuple(rows))
 
     @classmethod
     def filled(cls, symbol: str, width: int, height: int) -> TileGrid:
@@ -208,12 +177,16 @@ class LevelSet:
 
 
 def load_level(path: str | os.PathLike) -> TileGrid:
-    """Read and parse one level file."""
+    """Read and parse one UTF-8 level file; a leading byte-order mark is dropped."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise LevelIoError(p, exc) from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidCharacterError(
+            f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     try:
         return parse_level(text)
     except (EmptyInputError, RaggedRowsError, InvalidCharacterError) as exc:

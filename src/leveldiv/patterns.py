@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 from .errors import DimsMismatchError, EmptyInputError, FilterTooLargeError
 from .levels import TileGrid
@@ -59,10 +59,6 @@ class Pattern:
         """Stable text key: dims header plus row-major cells."""
         return f"{self.dims}:{self.cells}"
 
-    def row(self, y: int) -> str:
-        w = self.dims.width
-        return self.cells[y * w : (y + 1) * w]
-
 
 def window_count(grid_width: int, grid_height: int, dims: FilterDims) -> int:
     """Number of window placements of `dims` inside a grid."""
@@ -88,19 +84,6 @@ class PatternDistribution:
     @property
     def distinct(self) -> int:
         return len(self.counts)
-
-    def count(self, cells: str) -> int:
-        return self.counts.get(cells, 0)
-
-    def pattern(self, cells: str) -> Pattern:
-        return Pattern(self.dims, cells)
-
-    def sorted_cells(self) -> list[str]:
-        """Cell strings in the canonical (lexicographic) summation order."""
-        return sorted(self.counts)
-
-    def __contains__(self, cells: str) -> bool:
-        return cells in self.counts
 
 
 def extract_distribution(grid: TileGrid, dims: FilterDims) -> PatternDistribution:
@@ -145,9 +128,3 @@ def write_frequency_csv(dist: PatternDistribution, stream: IO[str]) -> None:
     writer.writerow(["pattern_key", "count"])
     for pattern, count in frequency_report(dist):
         writer.writerow([pattern.key, count])
-
-
-def distributions_for(
-    grids: Iterable[TileGrid], dims: FilterDims
-) -> list[PatternDistribution]:
-    return [extract_distribution(grid, dims) for grid in grids]

@@ -12,12 +12,10 @@ import mpmath
 import pytest
 
 from leveldiv import (
-    CandidateCounts,
     Conv,
     DivergenceConfig,
     EvolutionConfig,
     FilterDims,
-    FitnessEvaluator,
     Flip,
     LevelSet,
     SMB_LEVEL_TYPES,
@@ -34,7 +32,7 @@ from leveldiv import (
     random_init,
     snippet_fitness,
 )
-from leveldiv.evolve import _conv_edit, _flip_edits
+from leveldiv.evolve import CandidateCounts, FitnessEvaluator
 from oracles import mp_fitness, mp_kl, random_rows
 
 mpmath.mp.dps = 50
@@ -291,11 +289,8 @@ def test_criterion_8_incremental_equals_scratch(training_set):
     evaluator = FitnessEvaluator(training_dist, config, state.total)
     mismatches = 0
     for step in range(1000):
-        if rng.random() < 0.5:
-            edits = _flip_edits(state.rows, 3.0, training_set.alphabet.symbols, rng)
-        else:
-            edits = [_conv_edit(30, 14, training_set, dims, rng)]
-        for edit in edits:
+        mutation = Flip(3.0) if rng.random() < 0.5 else Conv()
+        for edit in mutation.edits(state.rows, training_set, dims, rng):
             state.apply(edit)
         incremental = evaluator.fitness_of(state)
         scratch = fitness(

@@ -234,6 +234,15 @@ def test_newick_structure():
     assert tree == "((w:0.5,x:0.5):4.75,(y:1,z:1):4.25);"
 
 
+def test_newick_quotes_labels():
+    dendro = Dendrogram(
+        ("lvl (a,b)", "it's", "x_1"),
+        (DendrogramMerge(0, 1, 2.0, 3), DendrogramMerge(3, 2, 4.0, 4)),
+    )
+    assert dendro.newick() == "(('lvl (a,b)':1,'it''s':1):1,x_1:2);"
+    assert Dendrogram(("a b",), ()).newick() == "'a b';"
+
+
 def test_dendrogram_json():
     dendro = Dendrogram(
         ("a", "b"), (DendrogramMerge(0, 1, 2.5, 2),)
@@ -316,8 +325,9 @@ def test_compare_sets_skips_unparseable_files(tmp_path):
     gen = tmp_path / "gen"
     _write_levels(gen, [("ok", TileGrid(("abab", "baba", "abab")))])
     (gen / "broken.txt").write_text("ab\nabc\n")
+    (gen / "latin1.txt").write_bytes(b"ab\nb\xe9\n")
     table = compare_sets(training, [gen], [FilterDims(2, 2)], [0.5])
-    assert table.skipped == (1,)
+    assert table.skipped == (2,)
     assert table.cells[0][0].count == 1
 
 

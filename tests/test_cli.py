@@ -1,10 +1,15 @@
+import concurrent.futures
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import leveldiv
 from leveldiv import smb_level_path, tiny_patch_path
 from leveldiv.cli import dispatch, main
 
@@ -184,6 +189,44 @@ def test_cluster_cut_and_artifacts(capsys, tmp_path):
     assert matrix_path.read_text().startswith("level,")
 
 
+def test_cluster_jobs_capped_by_level_count(capsys, monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    paths = [str(smb_level_path(n)) for n in ("mario-1-1", "mario-1-2")]
+    code, parallel, _ = _run(capsys, "cluster", *paths, "--filter", "2x2", "--jobs", "64")
+    assert code == 0
+    assert all(workers <= 2 for workers in started)
+    code, serial, _ = _run(capsys, "cluster", *paths, "--filter", "2x2")
+    assert code == 0
+    assert parallel == serial
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    src = str(Path(leveldiv.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, leveldiv.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_cluster_invalid_cut_is_data_error(capsys):
     paths = [str(smb_level_path(n)) for n in ("mario-1-1", "mario-1-2")]
     code, _, _ = _run(capsys, "cluster", *paths, "--cut", "9")
@@ -233,6 +276,8 @@ def test_exit_code_usage_errors(capsys):
     assert _run(capsys, "evolve", path, "--weight", "1.5")[0] == 1
     assert _run(capsys, "evolve", path, "--budget", "0")[0] == 1
     assert _run(capsys, "evolve", path, "--epsilon", "0")[0] == 1
+    for rate in ("nan", "inf"):
+        assert _run(capsys, "evolve", path, "--mutation", "flip", "--flip-rate", rate)[0] == 1
 
 
 def test_exit_code_data_errors(capsys, tmp_path, monkeypatch):
@@ -243,6 +288,11 @@ def test_exit_code_data_errors(capsys, tmp_path, monkeypatch):
     assert _run(capsys, "patterns", "-")[0] == 2
     path = str(smb_level_path("mario-1-1"))
     assert _run(capsys, "patterns", path, "--filter", "40x40")[0] == 2
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"-X\nX\xe9\n")
+    code, _, err = _run(capsys, "patterns", str(latin1))
+    assert code == 2
+    assert "latin1.txt" in err
 
 
 def test_exit_code_io_errors(capsys, tmp_path):

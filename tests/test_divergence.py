@@ -197,7 +197,8 @@ def test_contributions_sum_to_kl():
         p, q = _random_pair(rng, 2, 2)
         report = contributions(p, q, 1e-5)
         value = kl_div(p, q, 1e-5)
-        assert report.total() == pytest.approx(value, rel=1e-12, abs=1e-15)
+        total = sum(entry.summand for entry in report)
+        assert total == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
 def test_contributions_sorted_and_deterministic():

@@ -1,32 +1,30 @@
+import math
 import random
 
 import pytest
 
 from leveldiv import (
-    CandidateCounts,
     Conv,
+    DimsMismatchError,
     DivergenceConfig,
     EvolutionConfig,
     FilterDims,
     FilterTooLargeError,
-    FitnessEvaluator,
     Flip,
     GridEdit,
     LevelSet,
     SnippetTooWideError,
     TileAlphabet,
     TileGrid,
-    conv_mutate,
     extract_distribution,
     fitness,
-    flip_mutate,
     hill_climb,
-    incremental_fitness_update,
     load_smb_level,
     merge_distributions,
     random_init,
     snippet_fitness,
 )
+from leveldiv.evolve import CandidateCounts, FitnessEvaluator
 
 
 def _training_set():
@@ -37,6 +35,19 @@ def _training_set():
         "XXXXXXX[]X",
     ))
     return LevelSet.from_grids([("tiny", grid)])
+
+
+def _symbols(symbols):
+    """A training set whose alphabet is `symbols`, in that order."""
+    return LevelSet.from_grids([("symbols", TileGrid((symbols,)))])
+
+
+def _mutated(mutation, grid, training, dims, rng):
+    """The child hill_climb would evaluate: one mutation applied to `grid`."""
+    state = CandidateCounts(grid, dims)
+    for edit in mutation.edits(state.rows, training, dims, rng):
+        state.apply(edit)
+    return state.grid()
 
 
 def _small_config(**overrides):
@@ -63,6 +74,9 @@ def test_config_validation():
         Flip(rate=0.0)
     with pytest.raises(ValueError):
         Flip(rate=-1.0)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Flip(rate=rate)
 
 
 def test_random_init_properties():
@@ -76,11 +90,12 @@ def test_random_init_properties():
 
 def test_flip_mutate_changes_cells_to_different_symbols():
     base = TileGrid.filled("a", 10, 10)
-    alpha = TileAlphabet.from_symbols("abc")
+    training = _symbols("abc")
+    dims = FilterDims(1, 1)
     rng = random.Random(2)
     changed_totals = 0
     for _ in range(500):
-        mutated = flip_mutate(base, 3.0, alpha, rng)
+        mutated = _mutated(Flip(3.0), base, training, dims, rng)
         diff = [
             (x, y)
             for y in range(10)
@@ -94,30 +109,31 @@ def test_flip_mutate_changes_cells_to_different_symbols():
 
 
 def test_flip_mutate_mean_flip_count():
-    base = TileGrid.filled("-", 30, 14)
-    alpha = TileAlphabet.from_symbols("-Xo")
+    training = _symbols("-Xo")
+    dims = FilterDims(1, 1)
+    state = CandidateCounts(TileGrid.filled("-", 30, 14), dims)
     rng = random.Random(3)
     applications = 10_000
     flips = 0
     for _ in range(applications):
-        mutated = flip_mutate(base, 3.0, alpha, rng)
-        flips += sum(
-            1
-            for y in range(14)
-            for x in range(30)
-            if mutated.cell(x, y) != "-"
-        )
+        edits = Flip(3.0).edits(state.rows, training, dims, rng)
+        undos = [state.apply(edit) for edit in edits]
+        flips += sum(len(row) - row.count("-") for row in state.rows)
+        for undo in reversed(undos):
+            state.apply(undo)
     mean = flips / applications
     assert 2.8 <= mean <= 3.2
 
 
 def test_flip_mutate_uniform_over_other_symbols():
     base = TileGrid.filled("b", 1, 1)
-    alpha = TileAlphabet.from_symbols("abc")
+    training = _symbols("abc")
+    dims = FilterDims(1, 1)
     rng = random.Random(4)
     seen = {"a": 0, "c": 0}
     for _ in range(4000):
-        mutated = flip_mutate(base, 1.0, alpha, rng)  # rate 1 on a 1x1: always flips
+        # rate 1 on a 1x1: always flips
+        mutated = _mutated(Flip(1.0), base, training, dims, rng)
         assert mutated.cell(0, 0) != "b"
         seen[mutated.cell(0, 0)] += 1
     ratio = seen["a"] / (seen["a"] + seen["c"])
@@ -126,15 +142,8 @@ def test_flip_mutate_uniform_over_other_symbols():
 
 def test_flip_mutate_singleton_alphabet_is_identity():
     base = TileGrid.filled("a", 5, 5)
-    alpha = TileAlphabet.from_symbols("a")
-    assert flip_mutate(base, 3.0, alpha, random.Random(5)) == base
-
-
-def test_flip_mutate_rejects_bad_rate():
-    base = TileGrid.filled("a", 5, 5)
-    alpha = TileAlphabet.from_symbols("ab")
-    with pytest.raises(ValueError):
-        flip_mutate(base, 0.0, alpha, random.Random(6))
+    rng = random.Random(5)
+    assert Flip(3.0).edits(list(base.rows), _symbols("a"), FilterDims(1, 1), rng) == []
 
 
 def test_conv_mutate_copies_a_training_window():
@@ -143,7 +152,7 @@ def test_conv_mutate_copies_a_training_window():
     base = TileGrid.filled("-", 8, 5)
     rng = random.Random(7)
     for _ in range(200):
-        mutated = conv_mutate(base, training, dims, rng)
+        mutated = _mutated(Conv(), base, training, dims, rng)
         diff = [
             (x, y)
             for y in range(5)
@@ -158,8 +167,8 @@ def test_conv_mutate_copies_a_training_window():
         assert max(ys) - min(ys) < dims.height
         assert set(mutated.cells) <= set(training.alphabet.symbols) | {"-"}
     # a seeded draw reproduces exactly
-    a = conv_mutate(base, training, dims, random.Random(8))
-    b = conv_mutate(base, training, dims, random.Random(8))
+    a = _mutated(Conv(), base, training, dims, random.Random(8))
+    b = _mutated(Conv(), base, training, dims, random.Random(8))
     assert a == b
 
 
@@ -175,7 +184,7 @@ def test_conv_mutate_patch_contents_match_source():
     base = TileGrid.filled("#", 9, 6)
     rng = random.Random(9)
     for _ in range(100):
-        mutated = conv_mutate(base, training, dims, rng)
+        mutated = _mutated(Conv(), base, training, dims, rng)
         diff = [(x, y) for y in range(6) for x in range(9)
                 if mutated.cell(x, y) != "#"]
         xs = {x for x, _ in diff}
@@ -187,13 +196,6 @@ def test_conv_mutate_patch_contents_match_source():
             "".join(mutated.cell(x0 + i, y0 + j) for i in range(3)) for j in range(2)
         )
         assert patch in windows
-
-
-def test_conv_mutate_training_must_fit_filter():
-    training = LevelSet.from_grids([("dot", TileGrid(("ab", "ba")))])
-    base = TileGrid.filled("-", 8, 8)
-    with pytest.raises(FilterTooLargeError):
-        conv_mutate(base, training, FilterDims(3, 3), random.Random(10))
 
 
 def test_candidate_counts_apply_and_undo():
@@ -229,13 +231,6 @@ def test_candidate_counts_rejects_out_of_bounds_edit():
         state.apply(GridEdit(-1, 0, ("b",)))
 
 
-def test_incremental_fitness_update_returns_state():
-    state = CandidateCounts(TileGrid.filled("a", 4, 4), FilterDims(2, 2))
-    out = incremental_fitness_update(state, GridEdit(0, 0, ("b",)))
-    assert out is state
-    assert state.grid().cell(0, 0) == "b"
-
-
 def test_evaluator_matches_scratch_fitness():
     rng = random.Random(13)
     training = _training_set()
@@ -255,16 +250,13 @@ def test_evaluator_matches_scratch_fitness():
         )
         state.apply(edit)
         scratch = fitness(p_dist, extract_distribution(state.grid(), dims), config)
-        result = evaluator.result_of(state)
+        assert evaluator.divergences(state) == (scratch.kl_p_q, scratch.kl_q_p)
         assert evaluator.fitness_of(state) == scratch.fitness
-        assert result.kl_p_q == scratch.kl_p_q
-        assert result.kl_q_p == scratch.kl_q_p
-        assert result.fitness == scratch.fitness
 
 
 def test_evaluator_dims_guard():
     p_dist = extract_distribution(TileGrid.filled("a", 4, 4), FilterDims(2, 2))
-    with pytest.raises(FilterTooLargeError):
+    with pytest.raises(DimsMismatchError):
         FitnessEvaluator(p_dist, DivergenceConfig(dims=FilterDims(3, 3)), 10)
 
 
@@ -404,14 +396,9 @@ def test_incremental_equals_scratch_under_mutation_stream():
     rng = random.Random(55)
     state = CandidateCounts(random_init(training.alphabet, 30, 14, rng), dims)
     evaluator = FitnessEvaluator(p_dist, config, state.total)
-    from leveldiv.evolve import _conv_edit, _flip_edits
-
     for step in range(100):
-        if step % 2:
-            edits = _flip_edits(state.rows, 3.0, training.alphabet.symbols, rng)
-        else:
-            edits = [_conv_edit(30, 14, training, dims, rng)]
-        for edit in edits:
+        mutation = Flip(3.0) if step % 2 else Conv()
+        for edit in mutation.edits(state.rows, training, dims, rng):
             state.apply(edit)
         fast = evaluator.fitness_of(state)
         scratch_state = CandidateCounts(state.grid(), dims)
@@ -437,7 +424,7 @@ def test_conv_mutate_filter_sized_candidate_is_a_training_window():
     windows = extract_distribution(training.grids[0], dims).counts
     base = TileGrid.filled("#", 2, 2)
     for seed in range(20):
-        out = conv_mutate(base, training, dims, random.Random(seed))
+        out = _mutated(Conv(), base, training, dims, random.Random(seed))
         assert "".join(out.rows) in windows
 
 

@@ -6,7 +6,6 @@ from leveldiv import (
     InvalidCharacterError,
     LevelIoError,
     LevelSet,
-    MARIO_ALPHABET,
     RaggedRowsError,
     TileAlphabet,
     TileGrid,
@@ -94,16 +93,6 @@ def test_alphabet_first_occurrence_order():
     assert len(alpha) == 3
 
 
-def test_alphabet_union_and_names():
-    a = TileAlphabet.from_symbols("ab", {"a": "first"})
-    b = TileAlphabet.from_symbols("bc", {"c": "third"})
-    u = a.union(b)
-    assert u.symbols == ("a", "b", "c")
-    assert u.name_of("a") == "first"
-    assert u.name_of("c") == "third"
-    assert u.name_of("b") == "b"
-
-
 def test_alphabet_validation():
     with pytest.raises(EmptyInputError):
         TileAlphabet(())
@@ -111,13 +100,6 @@ def test_alphabet_validation():
         TileAlphabet(("a", "a"))
     with pytest.raises(InvalidCharacterError):
         TileAlphabet(("ab",))
-
-
-def test_mario_alphabet():
-    assert len(MARIO_ALPHABET) == 11
-    assert set("XS-?QE<>[]o") == set(MARIO_ALPHABET.symbols)
-    assert MARIO_ALPHABET.name_of("X") == "solid/ground"
-    assert MARIO_ALPHABET.name_of("o") == "coin"
 
 
 def test_level_set_basics():
@@ -151,6 +133,20 @@ def test_load_level(tmp_path):
     assert grid.rows == ("-X", "XX")
 
 
+def test_load_level_drops_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf-X\r\nXX\r\n")
+    assert load_level(path).rows == ("-X", "XX")
+
+
+def test_load_level_names_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"-X\nX\xe9\n")
+    with pytest.raises(InvalidCharacterError) as err:
+        load_level(path)
+    assert "latin1.txt" in str(err.value)
+
+
 def test_load_level_missing_file(tmp_path):
     with pytest.raises(LevelIoError) as err:
         load_level(tmp_path / "nope.txt")
@@ -168,4 +164,4 @@ def test_load_level_set_uses_stems(tmp_path):
 def test_bundled_mario_1_1(mario_1_1):
     assert mario_1_1.width == 229
     assert mario_1_1.height == 14
-    assert set(mario_1_1.cells) == set(MARIO_ALPHABET.symbols)
+    assert set(mario_1_1.cells) == set("XS-?QE<>[]o")

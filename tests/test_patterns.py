@@ -11,7 +11,6 @@ from leveldiv import (
     Pattern,
     PatternDistribution,
     TileGrid,
-    distributions_for,
     extract_distribution,
     frequency_report,
     merge_distributions,
@@ -46,11 +45,9 @@ def test_window_count_formula():
         window_count(3, 3, FilterDims(1, 4))
 
 
-def test_pattern_key_and_row():
+def test_pattern_key():
     pattern = Pattern(FilterDims(2, 2), "ab-X")
     assert pattern.key == "2x2:ab-X"
-    assert pattern.row(0) == "ab"
-    assert pattern.row(1) == "-X"
     with pytest.raises(ValueError):
         Pattern(FilterDims(2, 2), "abc")
 
@@ -107,7 +104,7 @@ def test_merge_counts_and_total():
     g1 = TileGrid(("ab", "ba"))
     g2 = TileGrid(("aa", "aa"))
     dims = FilterDims(1, 1)
-    merged = merge_distributions(distributions_for([g1, g2], dims))
+    merged = merge_distributions([extract_distribution(g, dims) for g in (g1, g2)])
     assert merged.counts == {"a": 6, "b": 2}
     assert merged.total == 8
     assert merged.distinct == 2
@@ -134,15 +131,6 @@ def test_merge_errors():
     d2 = extract_distribution(TileGrid(("ab",)), FilterDims(2, 1))
     with pytest.raises(DimsMismatchError):
         merge_distributions([d1, d2])
-
-
-def test_distribution_accessors():
-    dist = extract_distribution(TileGrid(("aab",)), FilterDims(1, 1))
-    assert dist.count("a") == 2
-    assert dist.count("z") == 0
-    assert "a" in dist and "z" not in dist
-    assert dist.sorted_cells() == ["a", "b"]
-    assert dist.pattern("a").key == "1x1:a"
 
 
 def test_frequency_report_ordering():
