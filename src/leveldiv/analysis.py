@@ -14,24 +14,23 @@ import os
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Callable, Sequence
+from typing import IO, Any, Callable, Iterable, Sequence
 
 from .divergence import DivergenceConfig, kl_div
 from .errors import (
     EmptyInputError,
-    FilterTooLargeError,
-    InvalidCharacterError,
     InvalidCutError,
+    LevelDivError,
     LevelIoError,
     NegativeDistanceError,
-    RaggedRowsError,
 )
 from .levels import LevelSet, TileGrid, load_level
 from .patterns import (
     FilterDims,
     PatternDistribution,
-    extract_distribution,
+    level_distributions,
     merge_distributions,
+    window_count,
 )
 
 # Symmetrized entries may dip this far below zero before it is treated as a
@@ -68,7 +67,6 @@ class DistanceMatrix:
 
     names: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]
-    config: DivergenceConfig
 
     def __len__(self) -> int:
         return len(self.names)
@@ -166,12 +164,7 @@ def pairwise_matrix(
     """
     if len(levels) < 2:
         raise EmptyInputError("pairwise matrix needs at least 2 levels")
-    dists = []
-    for name, grid in levels:
-        try:
-            dists.append(extract_distribution(grid, config.dims))
-        except FilterTooLargeError as exc:
-            raise FilterTooLargeError(f"level {name}: {exc}") from exc
+    dists = list(level_distributions(levels, config.dims))
     n = len(dists)
     tasks = [(i, dists, config.epsilon) for i in range(n)]
     directed = _map(_directed_row, tasks, jobs)
@@ -183,7 +176,7 @@ def pairwise_matrix(
         )
         for i in range(n)
     )
-    return DistanceMatrix(tuple(levels.names), values, config)
+    return DistanceMatrix(tuple(levels.names), values)
 
 
 def average_linkage(matrix: DistanceMatrix) -> Dendrogram:
@@ -298,22 +291,29 @@ class HeatmapTable:
             writer.writerow(out)
 
 
-def _load_directory(directory: str | os.PathLike) -> tuple[str, list[TileGrid], int]:
+def _load_directory(
+    directory: str | os.PathLike, filters: Iterable[FilterDims]
+) -> tuple[str, list[tuple[str, TileGrid]], int]:
+    """(directory name, usable levels, files skipped); every filter fits a usable level."""
     path = Path(directory)
     try:
         files = sorted(p for p in path.iterdir() if p.is_file())
     except OSError as exc:
         raise LevelIoError(path, exc) from exc
-    grids = []
+    levels = []
     skipped = 0
     for file in files:
         try:
-            grids.append(load_level(file))
-        except (EmptyInputError, RaggedRowsError, InvalidCharacterError, LevelIoError):
+            grid = load_level(file)
+            for dims in filters:
+                window_count(grid.width, grid.height, dims)
+        except LevelDivError:
             skipped += 1
-    if not grids:
-        raise EmptyInputError(f"no parseable levels in directory {path}")
-    return path.name, grids, skipped
+        else:
+            levels.append((file.name, grid))
+    if not levels:
+        raise EmptyInputError(f"no usable levels in directory {path}")
+    return path.name, levels, skipped
 
 
 def compare_sets(
@@ -329,20 +329,21 @@ def compare_sets(
     For every (filter, weight) column the cell is the mean over the
     directory's levels of w*kl(P,Q) + (1-w)*kl(Q,P), with P the merged
     training distribution; std is population standard deviation and count the
-    number of parsed levels. Unparseable files are skipped and tallied in
-    `skipped`; a directory without any parseable level is an error.
+    number of usable levels. Files that do not parse, are not UTF-8, or are
+    smaller than any of the filters are skipped and tallied in `skipped`; a
+    directory without any usable level is an error. Epsilon and weights are
+    checked as DivergenceConfig checks them.
     """
     if not generated_dirs:
         raise EmptyInputError("no generated-level directories given")
     if not filters or not weights:
         raise EmptyInputError("need at least one filter and one weight")
+    configs = [DivergenceConfig(epsilon, dims, float(w)) for dims in filters for w in weights]
+    columns = tuple((config.dims, config.weight) for config in configs)
     training_dists = {
-        dims: merge_distributions(
-            [extract_distribution(grid, dims) for grid in training.grids]
-        )
+        dims: merge_distributions(level_distributions(training, dims))
         for dims in filters
     }
-    columns = tuple((dims, float(w)) for dims in filters for w in weights)
     tasks = [(d, training_dists, epsilon) for d in generated_dirs]
     loaded = _map(_compare_one_directory, tasks, jobs)
     rows = []
@@ -372,12 +373,12 @@ def _compare_one_directory(
 ) -> tuple[str, dict[FilterDims, list[tuple[float, float]]], int]:
     """Both directed divergences per level and filter for one directory."""
     directory, training_dists, epsilon = args
-    name, grids, skipped = _load_directory(directory)
-    directed: dict[FilterDims, list[tuple[float, float]]] = {}
-    for dims, p in training_dists.items():
-        pairs = []
-        for grid in grids:
-            q = extract_distribution(grid, dims)
-            pairs.append((kl_div(p, q, epsilon), kl_div(q, p, epsilon)))
-        directed[dims] = pairs
+    name, levels, skipped = _load_directory(directory, training_dists)
+    directed = {
+        dims: [
+            (kl_div(p, q, epsilon), kl_div(q, p, epsilon))
+            for q in level_distributions(levels, dims)
+        ]
+        for dims, p in training_dists.items()
+    }
     return name, directed, skipped

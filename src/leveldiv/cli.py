@@ -29,10 +29,10 @@ from .divergence import (
 )
 from .errors import LevelDivError, LevelIoError
 from .evolve import Conv, EvolutionConfig, Flip, hill_climb, snippet_fitness
-from .levels import LevelSet, TileGrid, parse_level, serialize_level, load_level
+from .levels import LevelSet, TileGrid, decode_level, load_level, serialize_level
 from .patterns import (
     FilterDims,
-    extract_distribution,
+    level_distributions,
     merge_distributions,
     write_frequency_csv,
 )
@@ -83,7 +83,7 @@ def _positive_float(text: str) -> float:
 
 def _read_level(path: str) -> TileGrid:
     if path == "-":
-        return parse_level(sys.stdin.read())
+        return decode_level(sys.stdin.buffer.read(), "stdin")
     return load_level(path)
 
 
@@ -117,8 +117,8 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 
 def _cmd_patterns(args: argparse.Namespace) -> int:
-    dists = [extract_distribution(_read_level(p), args.filter) for p in args.levels]
-    merged = merge_distributions(dists)
+    levels = ((path, _read_level(path)) for path in args.levels)
+    merged = merge_distributions(level_distributions(levels, args.filter))
     _note(args, f"{merged.distinct} distinct {args.filter} patterns, total {merged.total}")
     with _open_out(args.out) as stream:
         write_frequency_csv(merged, stream)
@@ -126,8 +126,8 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    p_dist = extract_distribution(_read_level(args.p_level), args.filter)
-    q_dist = extract_distribution(_read_level(args.q_level), args.filter)
+    levels = ((path, _read_level(path)) for path in (args.p_level, args.q_level))
+    p_dist, q_dist = level_distributions(levels, args.filter)
     result = fitness(p_dist, q_dist, _divergence_config(args))
     with _open_out(args.out) as stream:
         print(f"kl_p_q: {result.kl_p_q!r}", file=stream)
@@ -162,7 +162,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         with _open_out(args.trace) as stream:
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(["eval_index", "candidate_fitness", "best_fitness"])
-            for entry in result.trace.entries:
+            for entry in result.trace:
                 writer.writerow(
                     [
                         entry.evaluation_index,
@@ -212,7 +212,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     for name, skipped in zip(table.rows, table.skipped):
         if skipped:
-            print(f"warning: skipped {skipped} unparseable file(s) in {name}",
+            print(f"warning: skipped {skipped} unusable file(s) in {name}",
                   file=sys.stderr)
     with _open_out(args.out) as stream:
         table.write_csv(stream)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import DimsMismatchError, EmptyDistributionError
 from .patterns import FilterDims, Pattern, PatternDistribution
@@ -49,19 +49,6 @@ class ContributionEntry:
     p_prime: float
     q_prime: float
     summand: float
-
-
-@dataclass(frozen=True)
-class ContributionReport:
-    """Per-pattern summands of kl_p_q, largest (most anomalous) first."""
-
-    entries: tuple[ContributionEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def smoothed_prob(count: int, total: int, epsilon: float) -> float:
@@ -138,8 +125,8 @@ def fitness(
 
 def contributions(
     p: PatternDistribution, q: PatternDistribution, epsilon: float
-) -> ContributionReport:
-    """Break kl_div(p, q) into per-pattern summands, sorted by summand descending.
+) -> tuple[ContributionEntry, ...]:
+    """Break kl_div(p, q) into per-pattern summands, largest (most anomalous) first.
 
     Ties are broken by pattern key, so the report order is deterministic.
     """
@@ -148,17 +135,16 @@ def contributions(
         for cells, p_prime, q_prime, summand in _terms(p, q, epsilon)
     ]
     entries.sort(key=lambda entry: (-entry.summand, entry.pattern.key))
-    return ContributionReport(tuple(entries))
+    return tuple(entries)
 
 
 def write_contributions_csv(
-    report: ContributionReport, stream: IO[str], top: int | None = None
+    entries: Sequence[ContributionEntry], stream: IO[str], top: int | None = None
 ) -> None:
-    """CSV export of the largest `top` contributions (all when top is None)."""
+    """CSV export of the first `top` contributions (all when top is None)."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["pattern_key", "p_prime", "q_prime", "summand"])
-    entries = report.entries if top is None else report.entries[:top]
-    for entry in entries:
+    for entry in entries[:top]:
         writer.writerow(
             [entry.pattern.key, repr(entry.p_prime), repr(entry.q_prime), repr(entry.summand)]
         )

@@ -27,6 +27,7 @@ from .patterns import (
     FilterDims,
     PatternDistribution,
     extract_distribution,
+    level_distributions,
     merge_distributions,
     window_count,
 )
@@ -140,23 +141,13 @@ class TraceEntry:
 
 
 @dataclass(frozen=True)
-class Trace:
-    """Fitness log: entry 0 is the initial candidate, then one entry per evaluation."""
-
-    entries: tuple[TraceEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-@dataclass(frozen=True)
 class EvolutionResult:
+    """`trace` is the fitness log: entry 0 is the initial candidate, then one
+    entry per evaluation."""
+
     best: TileGrid
     best_fitness: float
-    trace: Trace
+    trace: tuple[TraceEntry, ...]
     elapsed: float
 
 
@@ -308,15 +299,6 @@ def random_init(
     )
 
 
-def _check_training_fits(training: LevelSet, dims: FilterDims) -> None:
-    for name, grid in training:
-        if grid.width < dims.width or grid.height < dims.height:
-            raise FilterTooLargeError(
-                f"training level {name} is {grid.width}x{grid.height}, "
-                f"smaller than the {dims} filter"
-            )
-
-
 def hill_climb(training: LevelSet, config: EvolutionConfig) -> EvolutionResult:
     """Run the (1+1) climber: mutate, evaluate, keep the child when no worse.
 
@@ -327,18 +309,11 @@ def hill_climb(training: LevelSet, config: EvolutionConfig) -> EvolutionResult:
     """
     start = time.perf_counter()
     dims = config.divergence.dims
-    _check_training_fits(training, dims)
+    p_dist = merge_distributions(level_distributions(training, dims))
     height = (
         config.target_height
         if config.target_height is not None
         else training.grids[0].height
-    )
-    if height < dims.height:
-        raise FilterTooLargeError(
-            f"target height {height} is shorter than the {dims} filter"
-        )
-    p_dist = merge_distributions(
-        [extract_distribution(grid, dims) for grid in training.grids]
     )
     rng = random.Random(config.seed)
     state = CandidateCounts(
@@ -365,7 +340,7 @@ def hill_climb(training: LevelSet, config: EvolutionConfig) -> EvolutionResult:
             best_fitness = child_fitness
         entries.append(TraceEntry(index, child_fitness, best_fitness))
     return EvolutionResult(
-        state.grid(), parent_fitness, Trace(tuple(entries)), time.perf_counter() - start
+        state.grid(), parent_fitness, tuple(entries), time.perf_counter() - start
     )
 
 
@@ -383,16 +358,13 @@ def snippet_fitness(
         raise FilterTooLargeError(
             f"snippet width {snippet_width} is narrower than the {dims} filter"
         )
-    _check_training_fits(training, dims)
+    p_dist = merge_distributions(level_distributions(training, dims))
     for name, grid in training:
         if snippet_width > grid.width:
             raise SnippetTooWideError(
                 f"snippet width {snippet_width} exceeds level {name} "
                 f"width {grid.width}"
             )
-    p_dist = merge_distributions(
-        [extract_distribution(grid, dims) for grid in training.grids]
-    )
     results = []
     for _, grid in training:
         for offset in range(grid.width - snippet_width + 1):

@@ -49,15 +49,6 @@ class TileAlphabet:
             seen.setdefault(ch, None)
         return cls(tuple(seen))
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self.symbols
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
 
 @dataclass(frozen=True)
 class TileGrid:
@@ -95,12 +86,6 @@ class TileGrid:
         """All cells in row-major order."""
         return "".join(self.rows)
 
-    def cell(self, x: int, y: int) -> str:
-        return self.rows[y][x]
-
-    def alphabet(self) -> TileAlphabet:
-        return TileAlphabet.from_symbols(self.cells)
-
     def crop(self, x: int, y: int, width: int, height: int) -> TileGrid:
         """Sub-grid with top-left corner (x, y)."""
         if x < 0 or y < 0 or x + width > self.width or y + height > self.height:
@@ -117,10 +102,11 @@ class TileGrid:
 def parse_level(text: str) -> TileGrid:
     """Parse level text: one character per tile, newline-separated rows.
 
-    CR LF line endings are normalized; a single trailing newline is
-    accepted and stripped. Internal blank lines are ragged rows.
+    CR LF and lone CR line endings are read as newlines, as a text-mode file
+    read does; a single trailing newline is accepted and stripped. Internal
+    blank lines are ragged rows.
     """
-    normalized = text.replace("\r\n", "\n")
+    normalized = text.replace("\r\n", "\n").replace("\r", "\n")
     if normalized.endswith("\n"):
         normalized = normalized[:-1]
     if not normalized:
@@ -163,12 +149,6 @@ class LevelSet:
     def grids(self) -> list[TileGrid]:
         return [grid for _, grid in self.levels]
 
-    def get(self, name: str) -> TileGrid:
-        for n, grid in self.levels:
-            if n == name:
-                return grid
-        raise KeyError(name)
-
     def __len__(self) -> int:
         return len(self.levels)
 
@@ -176,21 +156,28 @@ class LevelSet:
         return iter(self.levels)
 
 
-def load_level(path: str | os.PathLike) -> TileGrid:
-    """Read and parse one UTF-8 level file; a leading byte-order mark is dropped."""
-    p = Path(path)
+def decode_level(data: bytes, source: str) -> TileGrid:
+    """Parse UTF-8 level bytes; a leading byte-order mark is dropped, errors name `source`."""
     try:
-        text = p.read_text(encoding="utf-8").removeprefix("\ufeff")
-    except OSError as exc:
-        raise LevelIoError(p, exc) from exc
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InvalidCharacterError(
-            f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
     try:
         return parse_level(text)
     except (EmptyInputError, RaggedRowsError, InvalidCharacterError) as exc:
-        raise type(exc)(f"{p}: {exc}") from exc
+        raise type(exc)(f"{source}: {exc}") from exc
+
+
+def load_level(path: str | os.PathLike) -> TileGrid:
+    """Read and parse one UTF-8 level file; a leading byte-order mark is dropped."""
+    p = Path(path)
+    try:
+        data = p.read_bytes()
+    except OSError as exc:
+        raise LevelIoError(p, exc) from exc
+    return decode_level(data, str(p))
 
 
 def load_level_set(paths: Sequence[str | os.PathLike]) -> LevelSet:

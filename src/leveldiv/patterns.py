@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator
 
 from .errors import DimsMismatchError, EmptyInputError, FilterTooLargeError
 from .levels import TileGrid
@@ -100,19 +100,32 @@ def extract_distribution(grid: TileGrid, dims: FilterDims) -> PatternDistributio
     return PatternDistribution(dims, counts, total)
 
 
-def merge_distributions(dists: Sequence[PatternDistribution]) -> PatternDistribution:
+def level_distributions(
+    levels: Iterable[tuple[str, TileGrid]], dims: FilterDims
+) -> Iterator[PatternDistribution]:
+    """Distributions of (name, grid) pairs, made as consumed; a misfit level is named."""
+    for name, grid in levels:
+        try:
+            dist = extract_distribution(grid, dims)
+        except FilterTooLargeError as exc:
+            raise FilterTooLargeError(f"level {name}: {exc}") from exc
+        yield dist
+
+
+def merge_distributions(dists: Iterable[PatternDistribution]) -> PatternDistribution:
     """Pattern-wise sum of counts; all inputs must share filter dims."""
-    if not dists:
-        raise EmptyInputError("no distributions to merge")
-    dims = dists[0].dims
+    dims = None
     counts: dict[str, int] = {}
     total = 0
     for dist in dists:
+        dims = dims or dist.dims
         if dist.dims != dims:
             raise DimsMismatchError(f"cannot merge {dist.dims} into {dims} distribution")
         for cells, count in dist.counts.items():
             counts[cells] = counts.get(cells, 0) + count
         total += dist.total
+    if dims is None:
+        raise EmptyInputError("no distributions to merge")
     return PatternDistribution(dims, counts, total)
 
 

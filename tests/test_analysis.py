@@ -41,13 +41,12 @@ from oracles import (
 )
 
 
-def _matrix(values, names=None, weight=0.5):
+def _matrix(values, names=None):
     n = len(values)
     names = names or tuple(f"L{i}" for i in range(n))
     return DistanceMatrix(
         tuple(names),
         tuple(tuple(float(v) for v in row) for row in values),
-        DivergenceConfig(dims=FilterDims(2, 2), weight=weight),
     )
 
 
@@ -215,9 +214,7 @@ def test_negative_distance_rejected():
 
 
 def test_clustering_needs_two_leaves():
-    matrix = DistanceMatrix(
-        ("solo",), ((0.0,),), DivergenceConfig(dims=FilterDims(2, 2))
-    )
+    matrix = DistanceMatrix(("solo",), ((0.0,),))
     with pytest.raises(EmptyInputError):
         average_linkage(matrix)
 
@@ -326,8 +323,10 @@ def test_compare_sets_skips_unparseable_files(tmp_path):
     _write_levels(gen, [("ok", TileGrid(("abab", "baba", "abab")))])
     (gen / "broken.txt").write_text("ab\nabc\n")
     (gen / "latin1.txt").write_bytes(b"ab\nb\xe9\n")
-    table = compare_sets(training, [gen], [FilterDims(2, 2)], [0.5])
-    assert table.skipped == (2,)
+    # parses, but is smaller than the 3x3 filter
+    (gen / "small.txt").write_text("ab\nba\n")
+    table = compare_sets(training, [gen], [FilterDims(2, 2), FilterDims(3, 3)], [0.5])
+    assert table.skipped == (3,)
     assert table.cells[0][0].count == 1
 
 
@@ -386,6 +385,10 @@ def test_compare_sets_argument_validation(tmp_path):
         compare_sets(training, [tmp_path / "gen"], [], [0.5])
     with pytest.raises(EmptyInputError):
         compare_sets(training, [tmp_path / "gen"], [FilterDims(2, 2)], [])
+    with pytest.raises(ValueError):
+        compare_sets(training, [tmp_path / "gen"], [FilterDims(2, 2)], [1.5])
+    with pytest.raises(ValueError):
+        compare_sets(training, [tmp_path / "gen"], [FilterDims(2, 2)], [0.5], epsilon=2.0)
 
 
 def test_pairwise_matrix_identical_levels_are_zero():

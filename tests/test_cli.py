@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import leveldiv
-from leveldiv import smb_level_path, tiny_patch_path
+from leveldiv import TileGrid, load_level, serialize_level, smb_level_path, tiny_patch_path
 from leveldiv.cli import dispatch, main
 
 
@@ -18,6 +20,11 @@ def _run(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _stdin(data):
+    """A text stdin over raw bytes, as the interpreter sets it up."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 def test_help_exits_zero(capsys):
@@ -63,10 +70,13 @@ def test_patterns_merges_multiple_levels(capsys, tmp_path):
 
 
 def test_patterns_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("-X\nXX\n"))
+    monkeypatch.setattr(sys, "stdin", _stdin(b"-X\nXX\n"))
     code, out, _ = _run(capsys, "patterns", "-", "--filter", "1x1")
     assert code == 0
     assert "1x1:X,3" in out
+    # a byte-order mark and CR LF line endings read as they do from a file
+    monkeypatch.setattr(sys, "stdin", _stdin(b"\xef\xbb\xbf-X\r\nXX\r\n"))
+    assert _run(capsys, "patterns", "-", "--filter", "1x1") == (0, out, "")
 
 
 def test_patterns_out_file(capsys, tmp_path):
@@ -244,7 +254,7 @@ def test_compare_end_to_end(capsys, tmp_path):
         "--filters", "1x1", "--filters", "2x2", "--weights", "0", "--weights", "1",
     )
     assert code == 0
-    assert "skipped 1 unparseable file" in err
+    assert "skipped 1 unusable file" in err
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][0] == "generator"
     assert rows[0][1:4] == ["1x1_0", "1x1_0_std", "1x1_0_count"]
@@ -284,10 +294,20 @@ def test_exit_code_data_errors(capsys, tmp_path, monkeypatch):
     ragged = tmp_path / "ragged.txt"
     ragged.write_text("ab\nabc\n")
     assert _run(capsys, "patterns", str(ragged))[0] == 2
-    monkeypatch.setattr(sys, "stdin", io.StringIO("ab\nabc\n"))
+    monkeypatch.setattr(sys, "stdin", _stdin(b"ab\nabc\n"))
     assert _run(capsys, "patterns", "-")[0] == 2
+    monkeypatch.setattr(sys, "stdin", _stdin(b"-X\nX\xe9\n"))
+    code, _, err = _run(capsys, "patterns", "-", "--filter", "1x1")
+    assert code == 2
+    assert "stdin: not UTF-8" in err
     path = str(smb_level_path("mario-1-1"))
     assert _run(capsys, "patterns", path, "--filter", "40x40")[0] == 2
+    # a level smaller than the filter is named
+    small = tmp_path / "small.txt"
+    small.write_text("ab\nba\n")
+    code, _, err = _run(capsys, "analyze", path, str(small))
+    assert code == 2
+    assert "small.txt" in err
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes(b"-X\nX\xe9\n")
     code, _, err = _run(capsys, "patterns", str(latin1))
@@ -312,3 +332,66 @@ def test_main_exits_with_dispatch_code(capsys):
         finally:
             sys.argv = main_argv
     assert exit_info.value.code == 1
+
+
+# Fixed examples, no example database: the property tests run the same way on
+# every machine. The tests reuse one file per example, so the function-scoped
+# fixtures are safe to share.
+_PROPERTY_SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+# Printable means every category but "other" and "separator", plus the space.
+_TILES = st.characters(codec="utf-8", exclude_categories=("C", "Z"), include_characters=" ")
+
+
+@st.composite
+def _grids(draw):
+    width = draw(st.integers(1, 5))
+    row = st.text(_TILES, min_size=width, max_size=width)
+    return TileGrid(tuple(draw(st.lists(row, min_size=1, max_size=4))))
+
+
+@_PROPERTY_SETTINGS
+@given(
+    grid=_grids(),
+    bom=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    trailing=st.booleans(),
+)
+def test_level_bytes_read_alike_from_file_and_stdin(
+    capsys, monkeypatch, tmp_path, grid, bom, newline, trailing
+):
+    text = serialize_level(grid).replace("\n", newline) + (newline if trailing else "")
+    data = (b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8")
+    path = tmp_path / "level.txt"
+    path.write_bytes(data)
+    assert load_level(path) == grid
+    # a filter the size of the grid sees the whole grid as its one pattern
+    dims = f"{grid.width}x{grid.height}"
+    from_file = _run(capsys, "patterns", str(path), "--filter", dims)
+    monkeypatch.setattr(sys, "stdin", _stdin(data))
+    from_stdin = _run(capsys, "patterns", "-", "--filter", dims)
+    assert from_stdin == from_file
+    code, out, _ = from_file
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out)))[1] == [f"{dims}:{grid.cells}", "1"]
+
+
+_LEVEL_BYTES = st.binary(max_size=48) | st.lists(
+    st.sampled_from([b"-", b"X", b" ", b"\t", b"\n", b"\r", b"\r\n", b"\xef\xbb\xbf", b"\xe9"]),
+    max_size=24,
+).map(b"".join)
+
+
+@_PROPERTY_SETTINGS
+@given(data=_LEVEL_BYTES)
+def test_patterns_exit_code_for_any_file_bytes(capsys, tmp_path, data):
+    path = tmp_path / "level.txt"
+    path.write_bytes(data)
+    code, _, err = _run(capsys, "patterns", str(path), "--filter", "2x2")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

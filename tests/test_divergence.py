@@ -221,10 +221,10 @@ def test_contributions_flag_removed_pipes(mario_1_1):
     q = extract_distribution(stripped, dims)
     report = contributions(p, q, 1e-5)
     pipe_tiles = set("<>[]")
-    top = report.entries[:10]
+    top = report[:10]
     assert all(set(e.pattern.cells) & pipe_tiles for e in top)
     assert all(e.summand > 0.0 for e in top)
-    top_cells = [e.pattern.cells for e in report.entries[:5]]
+    top_cells = [e.pattern.cells for e in report[:5]]
     assert "<>[]" in top_cells
 
 
@@ -239,7 +239,7 @@ def test_write_contributions_csv():
     assert len(lines) == 3
     # full round-trip precision: parsed floats equal the report values
     first = lines[1].split(",")
-    assert float(first[3]) == report.entries[0].summand
+    assert float(first[3]) == report[0].summand
     buffer = io.StringIO()
     write_contributions_csv(report, buffer, top=1)
     assert len(buffer.getvalue().splitlines()) == 2

@@ -100,11 +100,11 @@ def test_flip_mutate_changes_cells_to_different_symbols():
             (x, y)
             for y in range(10)
             for x in range(10)
-            if mutated.cell(x, y) != base.cell(x, y)
+            if mutated.rows[y][x] != base.rows[y][x]
         ]
         changed_totals += len(diff)
         for x, y in diff:
-            assert mutated.cell(x, y) in ("b", "c")
+            assert mutated.rows[y][x] in ("b", "c")
     assert changed_totals > 0
 
 
@@ -134,8 +134,8 @@ def test_flip_mutate_uniform_over_other_symbols():
     for _ in range(4000):
         # rate 1 on a 1x1: always flips
         mutated = _mutated(Flip(1.0), base, training, dims, rng)
-        assert mutated.cell(0, 0) != "b"
-        seen[mutated.cell(0, 0)] += 1
+        assert mutated.rows[0][0] != "b"
+        seen[mutated.rows[0][0]] += 1
     ratio = seen["a"] / (seen["a"] + seen["c"])
     assert 0.45 < ratio < 0.55
 
@@ -157,7 +157,7 @@ def test_conv_mutate_copies_a_training_window():
             (x, y)
             for y in range(5)
             for x in range(8)
-            if mutated.cell(x, y) != base.cell(x, y)
+            if mutated.rows[y][x] != base.rows[y][x]
         ]
         if not diff:
             continue  # patch can equal what it overwrote
@@ -186,14 +186,14 @@ def test_conv_mutate_patch_contents_match_source():
     for _ in range(100):
         mutated = _mutated(Conv(), base, training, dims, rng)
         diff = [(x, y) for y in range(6) for x in range(9)
-                if mutated.cell(x, y) != "#"]
+                if mutated.rows[y][x] != "#"]
         xs = {x for x, _ in diff}
         ys = {y for _, y in diff}
         # '#' never occurs in training patches, so the patch rectangle is exact
         assert len(xs) == 3 and len(ys) == 2
         x0, y0 = min(xs), min(ys)
         patch = "".join(
-            "".join(mutated.cell(x0 + i, y0 + j) for i in range(3)) for j in range(2)
+            "".join(mutated.rows[y0 + j][x0 + i] for i in range(3)) for j in range(2)
         )
         assert patch in windows
 
