@@ -17,6 +17,7 @@ import math
 import secrets
 import sys
 from contextlib import contextmanager
+from itertools import accumulate
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -87,12 +88,11 @@ def _read_level(path: str) -> TileGrid:
     return load_level(path)
 
 
-def _level_name(path: str) -> str:
-    return "stdin" if path == "-" else Path(path).stem
-
-
 def _read_level_set(paths: Sequence[str]) -> LevelSet:
-    return LevelSet.from_grids([(_level_name(p), _read_level(p)) for p in paths])
+    """Levels named by file stem ('-' is stdin), or by the path given where stems clash."""
+    stems = ["stdin" if p == "-" else Path(p).stem for p in paths]
+    names = [p if stems.count(stem) > 1 else stem for p, stem in zip(paths, stems)]
+    return LevelSet.from_grids([(name, _read_level(p)) for name, p in zip(names, paths)])
 
 
 @contextmanager
@@ -162,14 +162,11 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         with _open_out(args.trace) as stream:
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(["eval_index", "candidate_fitness", "best_fitness"])
-            for entry in result.trace:
-                writer.writerow(
-                    [
-                        entry.evaluation_index,
-                        repr(entry.candidate_fitness),
-                        repr(entry.best_fitness_so_far),
-                    ]
-                )
+            # The best so far is the parent's fitness: a child beats it only
+            # by beating the parent, and is then accepted.
+            best = accumulate(result.trace, max)
+            for index, (value, best_value) in enumerate(zip(result.trace, best)):
+                writer.writerow([index, repr(value), repr(best_value)])
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .levels import LevelSet, TileGrid, load_level, load_level_set
+from .levels import LevelSet, TileGrid, load_level
 
 # Level style per bundled SMB level. The corpus contains only these three
 # types; castle and underwater levels are not part of it.
@@ -52,7 +52,7 @@ def load_smb_level(name: str) -> TileGrid:
 
 def load_smb_corpus() -> LevelSet:
     """All bundled SMB levels as one set, in sorted name order."""
-    return load_level_set([smb_level_path(name) for name in smb_level_names()])
+    return LevelSet.from_grids((name, load_smb_level(name)) for name in smb_level_names())
 
 
 def tiny_patch_path() -> Path:

@@ -5,7 +5,8 @@ distribution, and replaced by its child whenever the child's fitness is no
 worse. Candidate pattern counts are maintained incrementally: an edit only
 recounts the windows that overlap it, and the resulting fitness is
 bit-identical to a from-scratch recomputation because terms are produced by
-the same expressions in the same sorted-pattern order.
+the same expressions and summed with the correctly rounded math.fsum, whose
+result does not depend on the order of the terms.
 
 Randomness comes from `random.Random` (Mersenne Twister); a fixed seed
 reproduces a run exactly within this implementation. Draw order is documented
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .divergence import DivergenceConfig, fitness, smoothed_prob, weighted_fitness
@@ -134,20 +134,14 @@ class EvolutionConfig:
 
 
 @dataclass(frozen=True)
-class TraceEntry:
-    evaluation_index: int
-    candidate_fitness: float
-    best_fitness_so_far: float
-
-
-@dataclass(frozen=True)
 class EvolutionResult:
-    """`trace` is the fitness log: entry 0 is the initial candidate, then one
-    entry per evaluation."""
+    """`trace` is the candidate fitness of every evaluation: entry 0 is the
+    initial candidate, then one entry per evaluation. The best fitness so far
+    is its running maximum, which always equals the parent's fitness."""
 
     best: TileGrid
     best_fitness: float
-    trace: tuple[TraceEntry, ...]
+    trace: tuple[float, ...]
     elapsed: float
 
 
@@ -171,9 +165,7 @@ class GridEdit:
 class CandidateCounts:
     """Window-pattern counts of a working grid, kept current under edits.
 
-    Holds the mutable row strings plus the count map and its sorted key list;
-    the sorted list exists so divergence sums can run in canonical order
-    without re-sorting on every evaluation.
+    Holds the mutable row strings plus the count map.
     """
 
     def __init__(self, grid: TileGrid, dims: FilterDims):
@@ -184,7 +176,6 @@ class CandidateCounts:
         dist = extract_distribution(grid, dims)
         self.counts: dict[str, int] = dict(dist.counts)
         self.total = dist.total
-        self.sorted_cells: list[str] = sorted(self.counts)
 
     def grid(self) -> TileGrid:
         return TileGrid(tuple(self.rows))
@@ -204,7 +195,6 @@ class CandidateCounts:
         y_hi = min(self.height - fh, y + eh - 1)
         rows = self.rows
         counts = self.counts
-        cells = self.sorted_cells
         for wy in range(y_lo, y_hi + 1):
             band = rows[wy : wy + fh]
             for wx in range(x_lo, x_hi + 1):
@@ -212,7 +202,6 @@ class CandidateCounts:
                 count = counts[key]
                 if count == 1:
                     del counts[key]
-                    del cells[bisect_left(cells, key)]
                 else:
                     counts[key] = count - 1
         undo_rows = tuple(rows[y + i][x : x + ew] for i in range(eh))
@@ -223,10 +212,7 @@ class CandidateCounts:
             band = rows[wy : wy + fh]
             for wx in range(x_lo, x_hi + 1):
                 key = "".join(r[wx : wx + fw] for r in band)
-                count = counts.get(key, 0)
-                if count == 0:
-                    insort(cells, key)
-                counts[key] = count + 1
+                counts[key] = counts.get(key, 0) + 1
         return GridEdit(x, y, undo_rows)
 
 
@@ -234,10 +220,11 @@ class FitnessEvaluator:
     """Fitness of evolving candidates against a fixed training distribution.
 
     The candidate's window total is fixed by its dimensions, so both smoothed
-    estimates reduce to per-count lookup tables built once up front. Sums run
-    in the same order and with the same expressions as kl_div, which makes the
-    fast path bit-identical to the from-scratch one; acceptance criterion 8
-    and test_evaluator_matches_scratch_fitness check that bit for bit. The
+    estimates reduce to per-count lookup tables built once up front. Terms
+    come from the same expressions as kl_div's, and both sums are the
+    correctly rounded math.fsum, so the fast path is bit-identical to the
+    from-scratch one in any term order; acceptance criterion 8 and
+    test_evaluator_matches_scratch_fitness check that bit for bit. The
     summand is written out here rather than shared with kl_div because this
     loop runs once per evaluation, and a call per term would slow the climb.
     """
@@ -252,11 +239,10 @@ class FitnessEvaluator:
         self.config = config
         self.training = training
         eps = config.epsilon
-        self.p_cells = sorted(training.counts)
-        self.p_prime = [
-            smoothed_prob(training.counts[c], training.total, eps) for c in self.p_cells
-        ]
-        self.log_p_prime = [math.log(v) for v in self.p_prime]
+        self.p_terms = []
+        for cells, count in training.counts.items():
+            p_prime = smoothed_prob(count, training.total, eps)
+            self.p_terms.append((cells, p_prime, math.log(p_prime)))
         self.q_prime_by_count = [
             smoothed_prob(c, candidate_total, eps) for c in range(candidate_total + 1)
         ]
@@ -269,19 +255,19 @@ class FitnessEvaluator:
 
     def divergences(self, state: CandidateCounts) -> tuple[float, float]:
         """(kl_p_q, kl_q_p) of the candidate against the training distribution."""
-        q_counts = state.counts
-        get_q = q_counts.get
+        get_q = state.counts.get
         log_q = self.log_q_by_count
-        kl_p_q = 0.0
-        for p_prime, log_p, cells in zip(self.p_prime, self.log_p_prime, self.p_cells):
-            kl_p_q += p_prime * (log_p - log_q[get_q(cells, 0)])
+        kl_p_q = math.fsum(
+            p_prime * (log_p - log_q[get_q(cells, 0)])
+            for cells, p_prime, log_p in self.p_terms
+        )
         q_prime = self.q_prime_by_count
         get_p = self.training.counts.get
         log_p_by = self.log_p_by_count
-        kl_q_p = 0.0
-        for cells in state.sorted_cells:
-            count = q_counts[cells]
-            kl_q_p += q_prime[count] * (log_q[count] - log_p_by[get_p(cells, 0)])
+        kl_q_p = math.fsum(
+            q_prime[count] * (log_q[count] - log_p_by[get_p(cells, 0)])
+            for cells, count in state.counts.items()
+        )
         return kl_p_q, kl_q_p
 
     def fitness_of(self, state: CandidateCounts) -> float:
@@ -321,11 +307,10 @@ def hill_climb(training: LevelSet, config: EvolutionConfig) -> EvolutionResult:
     )
     evaluator = FitnessEvaluator(p_dist, config.divergence, state.total)
     parent_fitness = evaluator.fitness_of(state)
-    best_fitness = parent_fitness
-    entries = [TraceEntry(0, parent_fitness, best_fitness)]
+    trace = [parent_fitness]
     mutation = config.mutation
     accept_equal = config.accept_equal
-    for index in range(1, config.budget + 1):
+    for _ in range(config.budget):
         edits = mutation.edits(state.rows, training, dims, rng)
         undos = [state.apply(edit) for edit in edits]
         child_fitness = evaluator.fitness_of(state)
@@ -336,11 +321,9 @@ def hill_climb(training: LevelSet, config: EvolutionConfig) -> EvolutionResult:
         else:
             for undo in reversed(undos):
                 state.apply(undo)
-        if child_fitness > best_fitness:
-            best_fitness = child_fitness
-        entries.append(TraceEntry(index, child_fitness, best_fitness))
+        trace.append(child_fitness)
     return EvolutionResult(
-        state.grid(), parent_fitness, tuple(entries), time.perf_counter() - start
+        state.grid(), parent_fitness, tuple(trace), time.perf_counter() - start
     )
 
 

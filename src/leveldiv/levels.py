@@ -1,7 +1,7 @@
 """Tile-grid levels in the one-character-per-tile text format.
 
 A level is a rectangular grid of printable tile symbols, one character per
-tile, rows top to bottom. Parsing, serialization and level-set loading live
+tile, rows top to bottom. Parsing, serialization and level loading live
 here, together with the tile alphabet bookkeeping the rest of the package
 relies on.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     DuplicateNameError,
@@ -94,10 +94,6 @@ class TileGrid:
             )
         return TileGrid(tuple(row[x : x + width] for row in self.rows[y : y + height]))
 
-    @classmethod
-    def filled(cls, symbol: str, width: int, height: int) -> TileGrid:
-        return cls(tuple(symbol * width for _ in range(height)))
-
 
 def parse_level(text: str) -> TileGrid:
     """Parse level text: one character per tile, newline-separated rows.
@@ -178,11 +174,3 @@ def load_level(path: str | os.PathLike) -> TileGrid:
     except OSError as exc:
         raise LevelIoError(p, exc) from exc
     return decode_level(data, str(p))
-
-
-def load_level_set(paths: Sequence[str | os.PathLike]) -> LevelSet:
-    """Load levels in input order; names are file stems."""
-    if not paths:
-        raise EmptyInputError("no level paths given")
-    named = [(Path(p).stem, load_level(p)) for p in paths]
-    return LevelSet.from_grids(named)

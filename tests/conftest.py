@@ -6,7 +6,12 @@ import pytest
 # Make the sibling oracles module importable regardless of invocation dir.
 sys.path.insert(0, str(Path(__file__).parent))
 
-from leveldiv import load_smb_level
+from leveldiv import TileGrid, load_smb_level
+
+
+def filled(symbol, width, height):
+    """A width x height grid holding `symbol` in every cell."""
+    return TileGrid(tuple(symbol * width for _ in range(height)))
 
 
 @pytest.fixture(scope="session")

@@ -85,7 +85,7 @@ def flip2_runs(training_set):
 
 
 def _initial(result):
-    return result.trace[0].candidate_fitness
+    return result.trace[0]
 
 
 def test_criterion_1_pattern_count_fixtures(mario_1_1):

@@ -32,6 +32,7 @@ from leveldiv import (
     random_init,
     serialize_level,
 )
+from conftest import filled
 from oracles import (
     mp_kl,
     random_rows,
@@ -93,7 +94,7 @@ def test_pairwise_matrix_needs_two_levels():
 
 def test_pairwise_matrix_names_offending_level():
     levels = LevelSet.from_grids(
-        [("big", TileGrid.filled("a", 8, 8)), ("small", TileGrid(("ab", "ba")))]
+        [("big", filled("a", 8, 8)), ("small", TileGrid(("ab", "ba")))]
     )
     with pytest.raises(FilterTooLargeError) as err:
         pairwise_matrix(levels, DivergenceConfig(dims=FilterDims(4, 4)))

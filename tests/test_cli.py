@@ -128,9 +128,13 @@ def test_evolve_is_byte_identical_for_same_seed(capsys, tmp_path):
         assert "seed: 42" in err
         outputs.append((level.read_bytes(), trace.read_bytes()))
     assert outputs[0] == outputs[1]
-    trace_lines = outputs[0][1].decode().splitlines()
-    assert trace_lines[0] == "eval_index,candidate_fitness,best_fitness"
-    assert len(trace_lines) == 1 + 2001
+    rows = list(csv.reader(io.StringIO(outputs[0][1].decode())))
+    assert rows[0] == ["eval_index", "candidate_fitness", "best_fitness"]
+    assert [int(row[0]) for row in rows[1:]] == list(range(2001))
+    best = float(rows[1][1])
+    for _, candidate, best_so_far in rows[1:]:
+        best = max(best, float(candidate))
+        assert float(best_so_far) == best
 
 
 def test_evolve_draws_and_prints_seed_when_missing(capsys, tmp_path):
@@ -235,6 +239,23 @@ def test_cli_import_leaves_out_multiprocessing():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cluster_names_levels_by_path_where_stems_collide(capsys, tmp_path):
+    for folder, source in (("a", "mario-1-1"), ("b", "mario-1-2")):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "x.txt").write_bytes(smb_level_path(source).read_bytes())
+    first, second = str(tmp_path / "a" / "x.txt"), str(tmp_path / "b" / "x.txt")
+    third = str(smb_level_path("mario-1-3"))
+    code, out, _ = _run(capsys, "cluster", first, second, third, "--filter", "2x2",
+                        "--cut", "3")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [name for name, _ in rows] == ["level", first, second, "mario-1-3"]
+    assert len({label for _, label in rows[1:]}) == 3
+    code, _, err = _run(capsys, "cluster", first, first, third, "--filter", "2x2")
+    assert code == 2
+    assert "duplicate level names" in err
 
 
 def test_cluster_invalid_cut_is_data_error(capsys):

@@ -5,6 +5,8 @@ import re
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leveldiv import (
     DimsMismatchError,
@@ -21,6 +23,7 @@ from leveldiv import (
     weighted_fitness,
     write_contributions_csv,
 )
+from conftest import filled
 from oracles import mp_fitness, mp_kl, mp_smoothed, random_rows
 
 mpmath.mp.dps = 50
@@ -80,6 +83,41 @@ def test_kl_self_is_exactly_zero():
             assert kl_div(p, p, eps) == 0.0
 
 
+# Fixed examples, no example database: the same cases run on every machine.
+_PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+# 1x2 patterns over five symbols: 25 possible keys, so p and q share many.
+_COUNTS = st.dictionaries(
+    st.text(st.sampled_from("abcde"), min_size=2, max_size=2),
+    st.integers(1, 1000),
+    min_size=1,
+    max_size=25,
+)
+_EPSILONS = st.floats(min_value=1e-12, max_value=1.0)
+
+
+def _counted(counts):
+    return PatternDistribution(FilterDims(1, 2), counts, sum(counts.values()))
+
+
+@_PROPERTY_SETTINGS
+@given(counts=_COUNTS, eps=_EPSILONS)
+def test_kl_self_is_zero_for_any_counts(counts, eps):
+    p = _counted(counts)
+    assert kl_div(p, p, eps) == 0.0
+
+
+@_PROPERTY_SETTINGS
+@given(p_counts=_COUNTS, q_counts=_COUNTS, eps=_EPSILONS)
+def test_kl_ignores_count_map_order(p_counts, q_counts, eps):
+    forward = kl_div(_counted(p_counts), _counted(q_counts), eps)
+    backward = kl_div(
+        _counted(dict(reversed(p_counts.items()))),
+        _counted(dict(reversed(q_counts.items()))),
+        eps,
+    )
+    assert backward.hex() == forward.hex()
+
+
 def test_kl_matches_extended_precision_oracle():
     rng = random.Random(17)
     for _ in range(60):
@@ -104,7 +142,7 @@ def test_kl_ignores_patterns_only_in_q():
 
 def test_kl_against_blank_grid_is_positive(mario_1_1):
     p = extract_distribution(mario_1_1, FilterDims(2, 2))
-    q = extract_distribution(TileGrid.filled("-", 30, 14), FilterDims(2, 2))
+    q = extract_distribution(filled("-", 30, 14), FilterDims(2, 2))
     value = kl_div(p, q, 1e-5)
     oracle = float(mp_kl(p.counts, p.total, q.counts, q.total, 1e-5))
     assert value > 0.0

@@ -10,7 +10,6 @@ from leveldiv import (
     TileAlphabet,
     TileGrid,
     load_level,
-    load_level_set,
     parse_level,
     serialize_level,
 )
@@ -82,11 +81,6 @@ def test_grid_crop():
         grid.crop(-1, 0, 2, 2)
 
 
-def test_grid_filled():
-    grid = TileGrid.filled("-", 3, 2)
-    assert grid.rows == ("---", "---")
-
-
 def test_alphabet_first_occurrence_order():
     alpha = TileAlphabet.from_symbols("banana")
     assert alpha.symbols == ("b", "a", "n")
@@ -149,14 +143,6 @@ def test_load_level_missing_file(tmp_path):
     with pytest.raises(LevelIoError) as err:
         load_level(tmp_path / "nope.txt")
     assert "nope.txt" in str(err.value)
-
-
-def test_load_level_set_uses_stems(tmp_path):
-    (tmp_path / "a.txt").write_text("-X\n")
-    (tmp_path / "b.txt").write_text("o?\n")
-    levels = load_level_set([tmp_path / "a.txt", tmp_path / "b.txt"])
-    assert levels.names == ["a", "b"]
-    assert levels.alphabet.symbols == ("-", "X", "o", "?")
 
 
 def test_bundled_mario_1_1(mario_1_1):
