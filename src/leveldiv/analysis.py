@@ -13,10 +13,11 @@ import json
 import os
 import statistics
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Sequence
 
-from .divergence import DivergenceConfig, kl_div
+from .divergence import DivergenceConfig, kl_div, weighted_divergence
 from .errors import (
     EmptyInputError,
     InvalidCutError,
@@ -38,20 +39,35 @@ from .patterns import (
 _NEGATIVE_TOLERANCE = -1e-9
 
 
-def _map(fn: Callable[[Any], Any], tasks: Sequence[Any], jobs: int) -> list[Any]:
-    """fn over tasks, in order; in worker processes when more than one can be busy.
+_task: Callable[[Any], Any] | None = None  # set in each pool worker by _map
+
+
+def _set_task(fn: Callable[[Any], Any]) -> None:
+    global _task
+    _task = fn
+
+
+def _run_task(task: Any) -> Any:
+    return _task(task)
+
+
+def _map(fn: Callable[[Any, Any], Any], shared: Any, tasks: Sequence[Any], jobs: int) -> list:
+    """fn(shared, task) over tasks, in order; in worker processes when more than one
+    can be busy, each of which is sent `shared` once rather than with every task.
 
     Workers are capped by the task count and the CPU count, so `jobs` never
     starts idle processes. The pool module is imported only when a pool
     starts, which keeps its import time out of every serial command.
     """
+    bound = partial(fn, shared)
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(task) for task in tasks]
+        return list(map(bound, tasks))
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_task, initargs=(bound,))
+    with pool:
+        return list(pool.map(_run_task, tasks))
 
 
 def _newick_label(name: str) -> str:
@@ -143,10 +159,8 @@ class Dendrogram:
         )
 
 
-def _directed_row(
-    args: tuple[int, list[PatternDistribution], float]
-) -> list[float]:
-    i, dists, epsilon = args
+def _directed_row(shared: tuple[list[PatternDistribution], float], i: int) -> list[float]:
+    dists, epsilon = shared
     return [
         0.0 if i == j else kl_div(dists[i], dists[j], epsilon)
         for j in range(len(dists))
@@ -164,14 +178,19 @@ def pairwise_matrix(
     """
     if len(levels) < 2:
         raise EmptyInputError("pairwise matrix needs at least 2 levels")
-    dists = list(level_distributions(levels, config.dims))
+    # Every level's counts stay alive here, so a pattern the levels share keeps one key string.
+    keys: dict[str, str] = {}
+    dists = []
+    for dist in level_distributions(levels, config.dims):
+        counts = {keys.setdefault(cells, cells): count for cells, count in dist.counts.items()}
+        dists.append(PatternDistribution(dist.dims, counts, dist.total))
+    del keys
     n = len(dists)
-    tasks = [(i, dists, config.epsilon) for i in range(n)]
-    directed = _map(_directed_row, tasks, jobs)
+    directed = _map(_directed_row, (dists, config.epsilon), range(n), jobs)
     w = config.weight
     values = tuple(
         tuple(
-            0.0 if i == j else w * directed[i][j] + (1.0 - w) * directed[j][i]
+            0.0 if i == j else weighted_divergence(directed[i][j], directed[j][i], w)
             for j in range(n)
         )
         for i in range(n)
@@ -344,17 +363,14 @@ def compare_sets(
         dims: merge_distributions(level_distributions(training, dims))
         for dims in filters
     }
-    tasks = [(d, training_dists, epsilon) for d in generated_dirs]
-    loaded = _map(_compare_one_directory, tasks, jobs)
+    loaded = _map(_compare_one_directory, (training_dists, epsilon), generated_dirs, jobs)
     rows = []
     cells = []
     skipped = []
     for name, directed, skip in loaded:
         row = []
         for dims, weight in columns:
-            values = [
-                weight * pq + (1.0 - weight) * qp for pq, qp in directed[dims]
-            ]
+            values = [weighted_divergence(pq, qp, weight) for pq, qp in directed[dims]]
             row.append(
                 HeatmapCell(
                     statistics.fmean(values),
@@ -369,10 +385,11 @@ def compare_sets(
 
 
 def _compare_one_directory(
-    args: tuple[str | os.PathLike, dict[FilterDims, PatternDistribution], float]
+    shared: tuple[dict[FilterDims, PatternDistribution], float],
+    directory: str | os.PathLike,
 ) -> tuple[str, dict[FilterDims, list[tuple[float, float]]], int]:
     """Both directed divergences per level and filter for one directory."""
-    directory, training_dists, epsilon = args
+    training_dists, epsilon = shared
     name, levels, skipped = _load_directory(directory, training_dists)
     directed = {
         dims: [

@@ -1,8 +1,8 @@
 """Bundled training levels and their metadata.
 
 The Super Mario Bros. corpus ships one text file per level; level 1-1 doubles
-as the default training sample. A 4x4 image patch is included for exercising
-generation from tiny samples.
+as the default training sample. The data directory also holds a 4x4 image
+patch, data/tiny/patch-4x4.txt, for exercising generation from tiny samples.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ SMB_LEVEL_TYPES: dict[str, str] = {
 _DATA_DIR = Path(__file__).parent / "data"
 
 
-def smb_level_names() -> list[str]:
-    """Bundled SMB level names in deterministic (sorted) order."""
-    return sorted(SMB_LEVEL_TYPES)
-
-
 def smb_level_path(name: str) -> Path:
     """Path of one bundled SMB level, e.g. smb_level_path("mario-1-1")."""
     if name not in SMB_LEVEL_TYPES:
@@ -52,13 +47,5 @@ def load_smb_level(name: str) -> TileGrid:
 
 def load_smb_corpus() -> LevelSet:
     """All bundled SMB levels as one set, in sorted name order."""
-    return LevelSet.from_grids((name, load_smb_level(name)) for name in smb_level_names())
+    return LevelSet.from_grids((name, load_smb_level(name)) for name in sorted(SMB_LEVEL_TYPES))
 
-
-def tiny_patch_path() -> Path:
-    """Path of the bundled 4x4 image patch."""
-    return _DATA_DIR / "tiny" / "patch-4x4.txt"
-
-
-def load_tiny_patch() -> TileGrid:
-    return load_level(tiny_patch_path())

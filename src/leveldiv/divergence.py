@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import IO, Iterator, Sequence
 
 from .errors import DimsMismatchError, EmptyDistributionError
 from .patterns import FilterDims, Pattern, PatternDistribution
@@ -56,43 +57,35 @@ def smoothed_prob(count: int, total: int, epsilon: float) -> float:
     return (count + epsilon) / ((total + epsilon) * (1.0 + epsilon))
 
 
-def weighted_fitness(kl_p_q: float, kl_q_p: float, weight: float) -> float:
-    """Negated mix of the two directions: -(w * kl_p_q + (1 - w) * kl_q_p)."""
-    return -(weight * kl_p_q + (1.0 - weight) * kl_q_p)
+def weighted_divergence(kl_p_q: float, kl_q_p: float, weight: float) -> float:
+    """Mix of the two directions, w * kl_p_q + (1 - w) * kl_q_p; fitness is its negation."""
+    return weight * kl_p_q + (1.0 - weight) * kl_q_p
 
 
-def _check_pair(p: PatternDistribution, q: PatternDistribution, epsilon: float) -> None:
+def _smoothed(count: int, total: int, epsilon: float) -> tuple[float, float]:
+    """P' and log P' of a pattern seen `count` times out of `total` windows."""
+    prob = smoothed_prob(count, total, epsilon)
+    return prob, math.log(prob)
+
+
+def _summand(p: tuple[float, float], q: tuple[float, float]) -> float:
+    """P'(x) * log(P'(x) / Q'(x)), from the _smoothed pairs of one pattern."""
+    return p[0] * (p[1] - q[1])
+
+
+def _sides(p: PatternDistribution, q: PatternDistribution, epsilon: float) -> tuple[Iterator, ...]:
+    """(P', log P') and (Q', log Q') of each pattern of p, in count-map order;
+    patterns seen equally often share them."""
     if p.dims != q.dims:
         raise DimsMismatchError(f"cannot compare {p.dims} against {q.dims} patterns")
     if not p.counts:
         raise EmptyDistributionError("first distribution has no patterns")
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-
-
-def _smoothed(
-    counts: Iterable[int], total: int, epsilon: float
-) -> dict[int, tuple[float, float]]:
-    """P' and log P' for each distinct count; patterns seen equally often share them."""
-    table = {}
-    for count in counts:
-        prob = smoothed_prob(count, total, epsilon)
-        table[count] = (prob, math.log(prob))
-    return table
-
-
-def _terms(
-    p: PatternDistribution, q: PatternDistribution, epsilon: float
-) -> Iterator[tuple[str, float, float, float]]:
-    """(cells, P', Q', summand) for every pattern of p, in count-map order."""
-    _check_pair(p, q, epsilon)
-    q_get = q.counts.get
-    p_smoothed = _smoothed(set(p.counts.values()), p.total, epsilon)
-    q_smoothed = _smoothed({0, *q.counts.values()}, q.total, epsilon)
-    for cells, count in p.counts.items():
-        p_prime, log_p = p_smoothed[count]
-        q_prime, log_q = q_smoothed[q_get(cells, 0)]
-        yield cells, p_prime, q_prime, p_prime * (log_p - log_q)
+    p_smoothed = {c: _smoothed(c, p.total, epsilon) for c in set(p.counts.values())}
+    q_smoothed = {c: _smoothed(c, q.total, epsilon) for c in {0, *q.counts.values()}}
+    q_counts = map(q.counts.get, p.counts, repeat(0))
+    return map(p_smoothed.__getitem__, p.counts.values()), map(q_smoothed.__getitem__, q_counts)
 
 
 def kl_div(p: PatternDistribution, q: PatternDistribution, epsilon: float) -> float:
@@ -102,7 +95,7 @@ def kl_div(p: PatternDistribution, q: PatternDistribution, epsilon: float) -> fl
     order of the count maps; kl_div(p, p) is exactly 0 because every log
     ratio is 0.
     """
-    return math.fsum(summand for _, _, _, summand in _terms(p, q, epsilon))
+    return math.fsum(map(_summand, *_sides(p, q, epsilon)))
 
 
 def fitness(
@@ -116,7 +109,7 @@ def fitness(
     kl_p_q = kl_div(p, q, config.epsilon)
     kl_q_p = kl_div(q, p, config.epsilon)
     return DivergenceResult(
-        kl_p_q, kl_q_p, weighted_fitness(kl_p_q, kl_q_p, config.weight)
+        kl_p_q, kl_q_p, -weighted_divergence(kl_p_q, kl_q_p, config.weight)
     )
 
 
@@ -128,8 +121,8 @@ def contributions(
     Ties are broken by pattern key, so the report order is deterministic.
     """
     entries = [
-        ContributionEntry(Pattern(p.dims, cells), p_prime, q_prime, summand)
-        for cells, p_prime, q_prime, summand in _terms(p, q, epsilon)
+        ContributionEntry(Pattern(p.dims, cells), p_side[0], q_side[0], _summand(p_side, q_side))
+        for cells, p_side, q_side in zip(p.counts, *_sides(p, q, epsilon))
     ]
     entries.sort(key=lambda entry: (-entry.summand, entry.pattern.key))
     return tuple(entries)

@@ -2,11 +2,11 @@
 
 A single candidate grid is mutated, evaluated against the merged training
 distribution, and replaced by its child whenever the child's fitness is no
-worse. Candidate pattern counts are maintained incrementally: an edit only
-recounts the windows that overlap it, and the resulting fitness is
-bit-identical to a from-scratch recomputation because terms are produced by
-the same expressions and summed with the correctly rounded math.fsum, whose
-result does not depend on the order of the terms.
+worse. A child is priced from the windows its edits overlap: their net count
+changes move two exact integer sums of KL summands, and the child is committed
+only if accepted. The resulting fitness is bit-identical to a from-scratch
+recomputation because both are correctly rounded sums of the same terms.
+Training snippets are scored the same way, sliding one column at a time.
 
 Randomness comes from `random.Random` (Mersenne Twister); a fixed seed
 reproduces a run exactly within this implementation. Draw order is documented
@@ -18,14 +18,17 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple
 
-from .divergence import DivergenceConfig, fitness, smoothed_prob, weighted_fitness
+from .divergence import DivergenceConfig, _smoothed, _summand, weighted_divergence
 from .errors import DimsMismatchError, FilterTooLargeError, SnippetTooWideError
 from .levels import LevelSet, TileAlphabet, TileGrid
 from .patterns import (
     FilterDims,
     PatternDistribution,
+    _window_keys,
     extract_distribution,
     level_distributions,
     merge_distributions,
@@ -153,126 +156,145 @@ class GridEdit:
     y: int
     rows: tuple[str, ...]
 
-    @property
-    def width(self) -> int:
-        return len(self.rows[0])
 
-    @property
-    def height(self) -> int:
-        return len(self.rows)
+class Child(NamedTuple):
+    """A proposed candidate: rows, net count change per key, sums in 2**-bits, fitness."""
+
+    rows: list[str]
+    delta: dict[str, int]
+    bits: int
+    sum_p_q: int
+    sum_q_p: int
+    fitness: float
+
+
+class _Memo(dict):
+    """A dict that fills in a missing key from `make(key)` on its first lookup."""
+
+    def __init__(self, make: Callable[[tuple[int, int]], tuple[int, int]]):
+        self.make = make
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, int]:
+        value = self[key] = self.make(key)
+        return value
 
 
 class CandidateCounts:
-    """Window-pattern counts of a working grid, kept current under edits.
+    """A candidate grid's window counts and its divergence from fixed training counts.
 
-    Holds the mutable row strings plus the count map.
+    Both directed divergences are exact integer sums: sum_p_q over the training
+    patterns and sum_q_p over the candidate's, in units of 2**-bits, where bits
+    grows whenever a finer summand shows up (every double is a whole multiple
+    of a power of two). A summand depends only on the pattern's (training
+    count, candidate count) pair; it comes from divergence._summand on the
+    pair's first use and is memoised. Dividing a sum by 2**bits rounds once,
+    correctly, giving the bits of math.fsum over the same terms in any order,
+    so the incremental fitness equals the from-scratch one by construction.
     """
 
-    def __init__(self, grid: TileGrid, dims: FilterDims):
-        self.dims = dims
-        self.width = grid.width
-        self.height = grid.height
-        self.rows: list[str] = list(grid.rows)
-        dist = extract_distribution(grid, dims)
-        self.counts: dict[str, int] = dict(dist.counts)
-        self.total = dist.total
-
-    def grid(self) -> TileGrid:
-        return TileGrid(tuple(self.rows))
-
-    def apply(self, edit: GridEdit) -> GridEdit:
-        """Apply `edit`, recount only windows overlapping it, return the undo edit."""
-        x, y = edit.x, edit.y
-        ew, eh = edit.width, edit.height
-        if x < 0 or y < 0 or x + ew > self.width or y + eh > self.height:
-            raise ValueError(
-                f"edit {ew}x{eh}@({x},{y}) outside {self.width}x{self.height} grid"
-            )
-        fw, fh = self.dims.width, self.dims.height
-        x_lo = max(0, x - fw + 1)
-        x_hi = min(self.width - fw, x + ew - 1)
-        y_lo = max(0, y - fh + 1)
-        y_hi = min(self.height - fh, y + eh - 1)
-        rows = self.rows
-        counts = self.counts
-        for wy in range(y_lo, y_hi + 1):
-            band = rows[wy : wy + fh]
-            for wx in range(x_lo, x_hi + 1):
-                key = "".join(r[wx : wx + fw] for r in band)
-                count = counts[key]
-                if count == 1:
-                    del counts[key]
-                else:
-                    counts[key] = count - 1
-        undo_rows = tuple(rows[y + i][x : x + ew] for i in range(eh))
-        for i, patch_row in enumerate(edit.rows):
-            row = rows[y + i]
-            rows[y + i] = row[:x] + patch_row + row[x + ew :]
-        for wy in range(y_lo, y_hi + 1):
-            band = rows[wy : wy + fh]
-            for wx in range(x_lo, x_hi + 1):
-                key = "".join(r[wx : wx + fw] for r in band)
-                counts[key] = counts.get(key, 0) + 1
-        return GridEdit(x, y, undo_rows)
-
-
-class FitnessEvaluator:
-    """Fitness of evolving candidates against a fixed training distribution.
-
-    The candidate's window total is fixed by its dimensions, so both smoothed
-    estimates reduce to per-count lookup tables built once up front. Terms
-    come from the same expressions as kl_div's, and both sums are the
-    correctly rounded math.fsum, so the fast path is bit-identical to the
-    from-scratch one in any term order; acceptance criterion 8 and
-    test_evaluator_matches_scratch_fitness check that bit for bit. The
-    summand is written out here rather than shared with kl_div because this
-    loop runs once per evaluation, and a call per term would slow the climb.
-    """
-
-    def __init__(
-        self, training: PatternDistribution, config: DivergenceConfig, candidate_total: int
-    ):
+    def __init__(self, grid: TileGrid, training: PatternDistribution, config: DivergenceConfig):
         if training.dims != config.dims:
             raise DimsMismatchError(
                 f"training distribution is {training.dims} but config expects {config.dims}"
             )
         self.config = config
         self.training = training
-        eps = config.epsilon
-        self.p_terms = []
-        for cells, count in training.counts.items():
-            p_prime = smoothed_prob(count, training.total, eps)
-            self.p_terms.append((cells, p_prime, math.log(p_prime)))
-        self.q_prime_by_count = [
-            smoothed_prob(c, candidate_total, eps) for c in range(candidate_total + 1)
-        ]
-        self.log_q_by_count = [math.log(v) for v in self.q_prime_by_count]
-        self.log_p_by_count = {
-            0: math.log(smoothed_prob(0, training.total, eps))
-        }
-        for c in set(training.counts.values()):
-            self.log_p_by_count[c] = math.log(smoothed_prob(c, training.total, eps))
+        self.width, self.height = grid.width, grid.height
+        self.rows: list[str] = list(grid.rows)
+        dist = extract_distribution(grid, config.dims)
+        self.total = dist.total
+        self._summands = _Memo(self._exact_summands)
+        # Start from an empty candidate, whose sums hold only training-side
+        # summands, and commit the grid's counts as one delta.
+        self.counts: dict[str, int] = {}
+        self.bits = self.sum_p_q = self.sum_q_p = 0
+        for count in training.counts.values():  # memoise first: it can refine the unit
+            self._summands[count, 0]
+        self.sum_p_q = sum(self._summands[count, 0][0] for count in training.counts.values())
+        self.commit(self._child(self.rows, dict(dist.counts)))
 
-    def divergences(self, state: CandidateCounts) -> tuple[float, float]:
-        """(kl_p_q, kl_q_p) of the candidate against the training distribution."""
-        get_q = state.counts.get
-        log_q = self.log_q_by_count
-        kl_p_q = math.fsum(
-            p_prime * (log_p - log_q[get_q(cells, 0)])
-            for cells, p_prime, log_p in self.p_terms
+    def _exact_summands(self, pair: tuple[int, int]) -> tuple[int, int]:
+        """(p-to-q, q-to-p) summands, in units of 2**-bits, of a pattern with these
+        (training, candidate) counts; a side where the pattern is absent adds 0.
+        Each denominator of a ratio below is a power of two, 2**(bit_length - 1)."""
+        p_count, q_count = pair
+        p_side = _smoothed(p_count, self.training.total, self.config.epsilon)
+        q_side = _smoothed(q_count, self.total, self.config.epsilon)
+        ratios = (
+            _summand(p_side, q_side).as_integer_ratio() if p_count else (0, 1),
+            _summand(q_side, p_side).as_integer_ratio() if q_count else (0, 1),
         )
-        q_prime = self.q_prime_by_count
-        get_p = self.training.counts.get
-        log_p_by = self.log_p_by_count
-        kl_q_p = math.fsum(
-            q_prime[count] * (log_q[count] - log_p_by[get_p(cells, 0)])
-            for cells, count in state.counts.items()
-        )
-        return kl_p_q, kl_q_p
+        bits = max(d.bit_length() for _, d in ratios) - 1
+        if bits > self.bits:
+            shift, self.bits = bits - self.bits, bits
+            self.sum_p_q <<= shift
+            self.sum_q_p <<= shift
+            for key, (a, b) in self._summands.items():
+                self._summands[key] = (a << shift, b << shift)
+        return tuple(n << (self.bits + 1 - d.bit_length()) for n, d in ratios)
 
-    def fitness_of(self, state: CandidateCounts) -> float:
-        kl_p_q, kl_q_p = self.divergences(state)
-        return weighted_fitness(kl_p_q, kl_q_p, self.config.weight)
+    def _fitness(self, sum_p_q: int, sum_q_p: int) -> float:
+        unit = 1 << self.bits
+        return -weighted_divergence(sum_p_q / unit, sum_q_p / unit, self.config.weight)
+
+    def fitness(self) -> float:
+        """Fitness of the committed candidate."""
+        return self._fitness(self.sum_p_q, self.sum_q_p)
+
+    def grid(self) -> TileGrid:
+        return TileGrid(tuple(self.rows))
+
+    def propose(self, edits: Iterable[GridEdit]) -> Child:
+        """The child made by `edits`, applied in order to a copy of the rows; only
+        the windows overlapping an edit are keyed, before and after it."""
+        rows = self.rows.copy()
+        delta: Counter[str] = Counter()
+        fw, fh = self.config.dims.width, self.config.dims.height
+        for edit in edits:
+            x, y = edit.x, edit.y
+            ew, eh = len(edit.rows[0]), len(edit.rows)
+            if x < 0 or y < 0 or x + ew > self.width or y + eh > self.height:
+                raise ValueError(
+                    f"edit {ew}x{eh}@({x},{y}) outside {self.width}x{self.height} grid"
+                )
+            xs = range(max(0, x - fw + 1), min(self.width - fw, x + ew - 1) + 1)
+            ys = range(max(0, y - fh + 1), min(self.height - fh, y + eh - 1) + 1)
+            before = [rows[wy : wy + fh] for wy in ys]
+            for i, patch_row in enumerate(edit.rows):
+                row = rows[y + i]
+                rows[y + i] = row[:x] + patch_row + row[x + ew :]
+            delta.subtract(_window_keys(before, xs, fw))
+            delta.update(_window_keys([rows[wy : wy + fh] for wy in ys], xs, fw))
+        return self._child(rows, delta)
+
+    def _child(self, rows: list[str], delta: dict[str, int]) -> Child:
+        """The child with these rows, whose counts differ from the state's by `delta`."""
+        bits, sum_p_q, sum_q_p = self.bits, self.sum_p_q, self.sum_q_p
+        get_q, get_p = self.counts.get, self.training.counts.get
+        summands = self._summands
+        for key, change in delta.items():
+            if change:
+                p_count, q_count = get_p(key, 0), get_q(key, 0)
+                old_p_q, old_q_p = summands[p_count, q_count]
+                new_p_q, new_q_p = summands[p_count, q_count + change]
+                sum_p_q += new_p_q - old_p_q
+                sum_q_p += new_q_p - old_q_p
+        if self.bits != bits:  # a new summand refined the unit part-way: add up again
+            return self._child(rows, delta)
+        return Child(rows, delta, bits, sum_p_q, sum_q_p, self._fitness(sum_p_q, sum_q_p))
+
+    def commit(self, child: Child) -> None:
+        """Adopt a child proposed from the current state."""
+        counts = self.counts
+        for key, change in child.delta.items():
+            if change:
+                counts[key] = count = counts.get(key, 0) + change
+                if not count:
+                    del counts[key]
+        self.rows = child.rows
+        # A later proposal may have made the unit finer since this one.
+        self.sum_p_q = child.sum_p_q << (self.bits - child.bits)
+        self.sum_q_p = child.sum_q_p << (self.bits - child.bits)
 
 
 def random_init(
@@ -290,8 +312,8 @@ def hill_climb(training: LevelSet, config: EvolutionConfig) -> EvolutionResult:
 
     The training distribution is merged once up front; the initial candidate's
     evaluation is logged at trace index 0 and does not count against the
-    budget. Rejected children are rolled back by applying the undo edits in
-    reverse order.
+    budget. Each child is priced by CandidateCounts.propose and committed only
+    when accepted, so a rejected child leaves nothing to undo.
     """
     start = time.perf_counter()
     dims = config.divergence.dims
@@ -302,26 +324,20 @@ def hill_climb(training: LevelSet, config: EvolutionConfig) -> EvolutionResult:
         else training.grids[0].height
     )
     rng = random.Random(config.seed)
-    state = CandidateCounts(
-        random_init(training.alphabet, config.target_width, height, rng), dims
-    )
-    evaluator = FitnessEvaluator(p_dist, config.divergence, state.total)
-    parent_fitness = evaluator.fitness_of(state)
+    grid = random_init(training.alphabet, config.target_width, height, rng)
+    state = CandidateCounts(grid, p_dist, config.divergence)
+    parent_fitness = state.fitness()
     trace = [parent_fitness]
     mutation = config.mutation
     accept_equal = config.accept_equal
     for _ in range(config.budget):
-        edits = mutation.edits(state.rows, training, dims, rng)
-        undos = [state.apply(edit) for edit in edits]
-        child_fitness = evaluator.fitness_of(state)
-        if child_fitness > parent_fitness or (
-            accept_equal and child_fitness == parent_fitness
+        child = state.propose(mutation.edits(state.rows, training, dims, rng))
+        if child.fitness > parent_fitness or (
+            accept_equal and child.fitness == parent_fitness
         ):
-            parent_fitness = child_fitness
-        else:
-            for undo in reversed(undos):
-                state.apply(undo)
-        trace.append(child_fitness)
+            state.commit(child)
+            parent_fitness = child.fitness
+        trace.append(child.fitness)
     return EvolutionResult(
         state.grid(), parent_fitness, tuple(trace), time.perf_counter() - start
     )
@@ -348,10 +364,19 @@ def snippet_fitness(
                 f"snippet width {snippet_width} exceeds level {name} "
                 f"width {grid.width}"
             )
+    fw, fh = dims.width, dims.height
     results = []
     for _, grid in training:
-        for offset in range(grid.width - snippet_width + 1):
-            snippet = grid.crop(offset, 0, snippet_width, grid.height)
-            q_dist = extract_distribution(snippet, dims)
-            results.append((offset, fitness(p_dist, q_dist, config).fitness))
+        state = CandidateCounts(grid.crop(0, 0, snippet_width, grid.height), p_dist, config)
+        results.append((0, state.fitness()))
+        bands = [grid.rows[y : y + fh] for y in range(grid.height - fh + 1)]
+        for offset in range(1, grid.width - snippet_width + 1):
+            # One step right: the column of windows at offset-1 leaves, and the
+            # one ending at the snippet's new right edge enters.
+            delta = Counter(_window_keys(bands, [offset + snippet_width - fw], fw))
+            delta.subtract(_window_keys(bands, [offset - 1], fw))
+            rows = [row[offset : offset + snippet_width] for row in grid.rows]
+            child = state._child(rows, delta)
+            state.commit(child)
+            results.append((offset, child.fitness))
     return results

@@ -22,10 +22,6 @@ from .errors import (
 )
 
 
-def _valid_symbol(ch: str) -> bool:
-    return ch.isprintable()
-
-
 @dataclass(frozen=True)
 class TileAlphabet:
     """Ordered set of tile symbols (insertion order of first occurrence)."""
@@ -38,7 +34,7 @@ class TileAlphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise DuplicateNameError(f"duplicate symbols in alphabet: {self.symbols}")
         for ch in self.symbols:
-            if len(ch) != 1 or not _valid_symbol(ch):
+            if len(ch) != 1 or not ch.isprintable():
                 raise InvalidCharacterError(f"invalid tile symbol: {ch!r}")
 
     @classmethod
@@ -68,7 +64,7 @@ class TileGrid:
                     f"row {i} has length {len(row)}, expected {width}"
                 )
             for ch in row:
-                if not _valid_symbol(ch):
+                if not ch.isprintable():
                     raise InvalidCharacterError(
                         f"row {i} contains invalid tile symbol {ch!r}"
                     )

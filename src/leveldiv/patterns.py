@@ -8,8 +8,9 @@ pattern to its occurrence count.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import DimsMismatchError, EmptyInputError, FilterTooLargeError
 from .levels import TileGrid
@@ -86,17 +87,17 @@ class PatternDistribution:
         return len(self.counts)
 
 
+def _window_keys(bands: Iterable[Sequence[str]], xs: Iterable[int], fw: int) -> Iterator[str]:
+    """Row-major keys of the windows `fw` wide starting at columns `xs` of each
+    band of rows, band by band."""
+    return ("".join(row[x : x + fw] for row in band) for band in bands for x in xs)
+
+
 def extract_distribution(grid: TileGrid, dims: FilterDims) -> PatternDistribution:
     """Count every window of `dims` in `grid` (stride 1, windows fully inside)."""
     total = window_count(grid.width, grid.height, dims)
-    fw, fh = dims.width, dims.height
-    counts: dict[str, int] = {}
-    rows = grid.rows
-    for y in range(grid.height - fh + 1):
-        band = rows[y : y + fh]
-        for x in range(grid.width - fw + 1):
-            key = "".join(row[x : x + fw] for row in band)
-            counts[key] = counts.get(key, 0) + 1
+    bands = [grid.rows[y : y + dims.height] for y in range(grid.height - dims.height + 1)]
+    counts = Counter(_window_keys(bands, range(grid.width - dims.width + 1), dims.width))
     return PatternDistribution(dims, counts, total)
 
 
@@ -129,15 +130,9 @@ def merge_distributions(dists: Iterable[PatternDistribution]) -> PatternDistribu
     return PatternDistribution(dims, counts, total)
 
 
-def frequency_report(dist: PatternDistribution) -> list[tuple[Pattern, int]]:
-    """Patterns from most to least frequent; ties broken by cell string."""
-    ordered = sorted(dist.counts.items(), key=lambda item: (-item[1], item[0]))
-    return [(Pattern(dist.dims, cells), count) for cells, count in ordered]
-
-
 def write_frequency_csv(dist: PatternDistribution, stream: IO[str]) -> None:
-    """CSV export of a frequency report: pattern_key,count."""
+    """CSV export pattern_key,count, most frequent first; ties broken by cell string."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["pattern_key", "count"])
-    for pattern, count in frequency_report(dist):
-        writer.writerow([pattern.key, count])
+    for cells, count in sorted(dist.counts.items(), key=lambda item: (-item[1], item[0])):
+        writer.writerow([Pattern(dist.dims, cells).key, count])

@@ -26,13 +26,12 @@ from leveldiv import (
     fitness,
     hill_climb,
     kl_div,
+    load_level,
     load_smb_corpus,
-    load_tiny_patch,
     pairwise_matrix,
-    random_init,
     snippet_fitness,
 )
-from leveldiv.evolve import CandidateCounts, FitnessEvaluator
+from leveldiv.evolve import CandidateCounts, random_init
 from oracles import mp_fitness, mp_kl, random_rows
 
 mpmath.mp.dps = 50
@@ -285,14 +284,15 @@ def test_criterion_8_incremental_equals_scratch(training_set):
     config = DivergenceConfig(dims=dims)
     training_dist = extract_distribution(training_set.grids[0], dims)
     rng = random.Random(99)
-    state = CandidateCounts(random_init(training_set.alphabet, 30, 14, rng), dims)
-    evaluator = FitnessEvaluator(training_dist, config, state.total)
+    state = CandidateCounts(
+        random_init(training_set.alphabet, 30, 14, rng), training_dist, config
+    )
     mismatches = 0
     for step in range(1000):
         mutation = Flip(3.0) if rng.random() < 0.5 else Conv()
-        for edit in mutation.edits(state.rows, training_set, dims, rng):
-            state.apply(edit)
-        incremental = evaluator.fitness_of(state)
+        child = state.propose(mutation.edits(state.rows, training_set, dims, rng))
+        state.commit(child)
+        incremental = child.fitness
         scratch = fitness(
             training_dist, extract_distribution(state.grid(), dims), config
         ).fitness
@@ -307,8 +307,8 @@ def test_criterion_8_incremental_equals_scratch(training_set):
     )
 
 
-def test_criterion_9_tiny_sample_generation():
-    training = LevelSet.from_grids([("patch", load_tiny_patch())])
+def test_criterion_9_tiny_sample_generation(tiny_patch_path):
+    training = LevelSet.from_grids([("patch", load_level(tiny_patch_path))])
     assert training.grids[0].width == 4 and training.grids[0].height == 4
     improved = 0
     finals = []

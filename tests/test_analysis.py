@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import pickle
 import random
 
 import pytest
@@ -28,10 +30,12 @@ from leveldiv import (
     hill_climb,
     kl_div,
     load_smb_corpus,
+    merge_distributions,
     pairwise_matrix,
-    random_init,
     serialize_level,
 )
+from leveldiv.evolve import random_init
+from leveldiv.patterns import level_distributions
 from conftest import filled
 from oracles import (
     mp_kl,
@@ -375,6 +379,33 @@ def test_compare_sets_parallel_matches_serial(tmp_path):
     parallel = compare_sets(training, dirs, [FilterDims(2, 2)], [0.5], jobs=3)
     assert serial.cells == parallel.cells
     assert serial.rows == parallel.rows
+
+
+def test_parallel_runs_pickle_shared_data_once_per_worker(tmp_path, monkeypatch, in_process_pool):
+    # The corpus goes to each worker once, not inside each of its row tasks.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    levels = load_smb_corpus()
+    config = DivergenceConfig(dims=FilterDims(4, 4))
+    corpus_bytes = len(pickle.dumps(list(level_distributions(levels, config.dims))))
+    assert pairwise_matrix(levels, config, jobs=8) == pairwise_matrix(levels, config)
+    assert in_process_pool.started == [4]
+    assert in_process_pool.pickled < 5 * corpus_bytes
+
+    # The training distributions go to each worker once, not once per directory.
+    in_process_pool.pickled = 0
+    training = levels
+    dirs = []
+    for i in range(6):
+        _write_levels(tmp_path / f"gen{i}", [("only", TileGrid(("abba", "baab", "abba")))])
+        dirs.append(tmp_path / f"gen{i}")
+    filters = [FilterDims(1, 1), FilterDims(2, 2)]
+    training_bytes = len(pickle.dumps({
+        dims: merge_distributions(level_distributions(training, dims)) for dims in filters
+    }))
+    parallel = compare_sets(training, dirs, filters, [0.5], jobs=6)
+    assert parallel == compare_sets(training, dirs, filters, [0.5])
+    assert in_process_pool.started == [4, 4]
+    assert in_process_pool.pickled < 5 * training_bytes
 
 
 def test_compare_sets_argument_validation(tmp_path):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import io
 import json
@@ -12,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import leveldiv
-from leveldiv import TileGrid, load_level, serialize_level, smb_level_path, tiny_patch_path
+from leveldiv import TileGrid, load_level, serialize_level, smb_level_path
 from leveldiv.cli import dispatch, main
 
 
@@ -149,9 +148,9 @@ def test_evolve_draws_and_prints_seed_when_missing(capsys, tmp_path):
     int(seed_lines[0].removeprefix("seed: "))  # numeric
 
 
-def test_evolve_level_shape(capsys, tmp_path):
+def test_evolve_level_shape(capsys, tmp_path, tiny_patch_path):
     code, out, err = _run(
-        capsys, "evolve", str(tiny_patch_path()), "--budget", "20",
+        capsys, "evolve", str(tiny_patch_path), "--budget", "20",
         "--filter", "2x2", "--width", "12", "--height", "7", "--seed", "1",
     )
     assert code == 0
@@ -203,27 +202,11 @@ def test_cluster_cut_and_artifacts(capsys, tmp_path):
     assert matrix_path.read_text().startswith("level,")
 
 
-def test_cluster_jobs_capped_by_level_count(capsys, monkeypatch):
-    started = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+def test_cluster_jobs_capped_by_level_count(capsys, in_process_pool):
     paths = [str(smb_level_path(n)) for n in ("mario-1-1", "mario-1-2")]
     code, parallel, _ = _run(capsys, "cluster", *paths, "--filter", "2x2", "--jobs", "64")
     assert code == 0
-    assert all(workers <= 2 for workers in started)
+    assert all(workers <= 2 for workers in in_process_pool.started)
     code, serial, _ = _run(capsys, "cluster", *paths, "--filter", "2x2")
     assert code == 0
     assert parallel == serial

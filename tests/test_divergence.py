@@ -19,10 +19,9 @@ from leveldiv import (
     extract_distribution,
     fitness,
     kl_div,
-    smoothed_prob,
-    weighted_fitness,
     write_contributions_csv,
 )
+from leveldiv.divergence import smoothed_prob, weighted_divergence
 from conftest import filled
 from oracles import mp_fitness, mp_kl, mp_smoothed, random_rows
 
@@ -58,9 +57,9 @@ def test_smoothed_prob_matches_extended_precision():
 
 
 def test_weighted_fitness_formula():
-    assert weighted_fitness(2.0, 4.0, 0.25) == -(0.25 * 2.0 + 0.75 * 4.0)
-    assert weighted_fitness(3.0, 5.0, 1.0) == -3.0
-    assert weighted_fitness(3.0, 5.0, 0.0) == -5.0
+    assert weighted_divergence(2.0, 4.0, 0.25) == 0.25 * 2.0 + 0.75 * 4.0
+    assert weighted_divergence(3.0, 5.0, 1.0) == 3.0
+    assert weighted_divergence(3.0, 5.0, 0.0) == 5.0
 
 
 def test_config_validation():
@@ -170,7 +169,7 @@ def test_fitness_composition_and_directions():
         result = fitness(p, q, config)
         assert result.kl_p_q == kl_div(p, q, config.epsilon)
         assert result.kl_q_p == kl_div(q, p, config.epsilon)
-        assert result.fitness == weighted_fitness(result.kl_p_q, result.kl_q_p, w)
+        assert result.fitness == -weighted_divergence(result.kl_p_q, result.kl_q_p, w)
     config = DivergenceConfig(dims=FilterDims(2, 2), weight=1.0)
     p, q = _random_pair(rng, 2, 2)
     assert fitness(p, q, config).fitness == -fitness(p, q, config).kl_p_q

@@ -23,10 +23,9 @@ from leveldiv import (
     hill_climb,
     load_smb_level,
     merge_distributions,
-    random_init,
     snippet_fitness,
 )
-from leveldiv.evolve import CandidateCounts, FitnessEvaluator
+from leveldiv.evolve import CandidateCounts, random_init
 from conftest import filled
 
 
@@ -45,11 +44,21 @@ def _symbols(symbols):
     return LevelSet.from_grids([("symbols", TileGrid((symbols,)))])
 
 
+def _state(grid, training, dims):
+    """The climb state of `grid` against the merged training levels."""
+    p_dist = merge_distributions(extract_distribution(g, dims) for g in training.grids)
+    return CandidateCounts(grid, p_dist, DivergenceConfig(dims=dims))
+
+
+def _scratch(p_dist, grid, config):
+    """Fitness of `grid` recomputed from scratch."""
+    return fitness(p_dist, extract_distribution(grid, config.dims), config).fitness
+
+
 def _mutated(mutation, grid, training, dims, rng):
     """The child hill_climb would evaluate: one mutation applied to `grid`."""
-    state = CandidateCounts(grid, dims)
-    for edit in mutation.edits(state.rows, training, dims, rng):
-        state.apply(edit)
+    state = _state(grid, training, dims)
+    state.commit(state.propose(mutation.edits(state.rows, training, dims, rng)))
     return state.grid()
 
 
@@ -114,16 +123,13 @@ def test_flip_mutate_changes_cells_to_different_symbols():
 def test_flip_mutate_mean_flip_count():
     training = _symbols("-Xo")
     dims = FilterDims(1, 1)
-    state = CandidateCounts(filled("-", 30, 14), dims)
+    state = _state(filled("-", 30, 14), training, dims)
     rng = random.Random(3)
     applications = 10_000
     flips = 0
     for _ in range(applications):
-        edits = Flip(3.0).edits(state.rows, training, dims, rng)
-        undos = [state.apply(edit) for edit in edits]
-        flips += sum(len(row) - row.count("-") for row in state.rows)
-        for undo in reversed(undos):
-            state.apply(undo)
+        child = state.propose(Flip(3.0).edits(state.rows, training, dims, rng))
+        flips += sum(len(row) - row.count("-") for row in child.rows)
     mean = flips / applications
     assert 2.8 <= mean <= 3.2
 
@@ -201,14 +207,12 @@ def test_conv_mutate_patch_contents_match_source():
         assert patch in windows
 
 
-def test_candidate_counts_apply_and_undo():
+def test_candidate_counts_propose_and_commit():
     rng = random.Random(11)
     grid = random_init(TileAlphabet.from_symbols("ab-"), 9, 7, rng)
     dims = FilterDims(3, 2)
-    state = CandidateCounts(grid, dims)
-    original_rows = list(state.rows)
-    original_counts = dict(state.counts)
-    for _ in range(300):
+    state = _state(grid, _training_set(), dims)
+    for step in range(300):
         ew = rng.randint(1, 4)
         eh = rng.randint(1, 4)
         x = rng.randint(0, 9 - ew)
@@ -216,24 +220,28 @@ def test_candidate_counts_apply_and_undo():
         patch = tuple(
             "".join(rng.choice("ab-") for _ in range(ew)) for _ in range(eh)
         )
-        undo = state.apply(GridEdit(x, y, patch))
+        rows, counts, fit = list(state.rows), dict(state.counts), state.fitness()
+        child = state.propose([GridEdit(x, y, patch)])
+        # Proposing leaves the state as it was.
+        assert (state.rows, state.counts, state.fitness()) == (rows, counts, fit)
+        if step % 2:
+            continue
+        state.commit(child)
         fresh = extract_distribution(state.grid(), dims)
         assert state.counts == fresh.counts
         assert state.total == fresh.total
-        state.apply(undo)
-        assert state.rows == original_rows
-        assert state.counts == original_counts
+        assert state.fitness() == child.fitness
 
 
 def test_candidate_counts_rejects_out_of_bounds_edit():
-    state = CandidateCounts(filled("a", 4, 4), FilterDims(2, 2))
+    state = _state(filled("a", 4, 4), _training_set(), FilterDims(2, 2))
     with pytest.raises(ValueError):
-        state.apply(GridEdit(3, 0, ("bb",)))
+        state.propose([GridEdit(3, 0, ("bb",))])
     with pytest.raises(ValueError):
-        state.apply(GridEdit(-1, 0, ("b",)))
+        state.propose([GridEdit(-1, 0, ("b",))])
 
 
-def test_evaluator_matches_scratch_fitness():
+def test_candidate_counts_fitness_matches_scratch():
     rng = random.Random(13)
     training = _training_set()
     dims = FilterDims(2, 2)
@@ -241,19 +249,38 @@ def test_evaluator_matches_scratch_fitness():
     p_dist = merge_distributions(
         [extract_distribution(g, dims) for g in training.grids]
     )
-    state = CandidateCounts(
-        random_init(training.alphabet, 10, 6, rng), dims
-    )
-    evaluator = FitnessEvaluator(p_dist, config, state.total)
+    state = CandidateCounts(random_init(training.alphabet, 10, 6, rng), p_dist, config)
     for _ in range(50):
         edit = GridEdit(
             rng.randint(0, 8), rng.randint(0, 4),
             (rng.choice(training.alphabet.symbols) * 2,),
         )
-        state.apply(edit)
+        state.commit(state.propose([edit]))
         scratch = fitness(p_dist, extract_distribution(state.grid(), dims), config)
-        assert evaluator.divergences(state) == (scratch.kl_p_q, scratch.kl_q_p)
-        assert evaluator.fitness_of(state) == scratch.fitness
+        # The sums are exact, as whole numbers of 2**-bits.
+        unit = 2**state.bits
+        assert (state.sum_p_q / unit, state.sum_q_p / unit) == (scratch.kl_p_q, scratch.kl_q_p)
+        assert state.fitness() == scratch.fitness
+
+
+def test_candidate_counts_commit_after_a_finer_proposal():
+    # A proposal can make the unit of the sums finer; a child proposed before
+    # it must still commit exactly.
+    rng = random.Random(17)
+    training = _training_set()
+    dims = FilterDims(2, 2)
+    config = DivergenceConfig(dims=dims)
+    p_dist = extract_distribution(training.grids[0], dims)
+    state = CandidateCounts(random_init(training.alphabet, 10, 6, rng), p_dist, config)
+    refined = 0
+    for _ in range(200):
+        first = state.propose(Conv().edits(state.rows, training, dims, rng))
+        bits = state.bits
+        state.propose(Flip(3.0).edits(state.rows, training, dims, rng))
+        refined += state.bits > bits
+        state.commit(first)
+        assert state.fitness() == first.fitness == _scratch(p_dist, state.grid(), config)
+    assert refined
 
 
 @st.composite
@@ -283,19 +310,23 @@ def test_incremental_fitness_equals_scratch_under_random_edits(data):
         return TileGrid(data.draw(_rows(symbols, width, height)))
 
     p_dist = extract_distribution(grid(), dims)
-    state = CandidateCounts(grid(), dims)
-    evaluator = FitnessEvaluator(p_dist, config, state.total)
-    edits = data.draw(st.lists(_edit(symbols, state.width, state.height), max_size=8))
-    for edit in edits:
-        state.apply(edit)
-        scratch = fitness(p_dist, extract_distribution(state.grid(), dims), config)
-        assert evaluator.fitness_of(state).hex() == scratch.fitness.hex()
+    state = CandidateCounts(grid(), p_dist, config)
+    edit = _edit(symbols, state.width, state.height)
+    steps = data.draw(st.lists(st.tuples(st.lists(edit, max_size=3), st.booleans()),
+                               max_size=8))
+    for edits, accept in steps:
+        child = state.propose(edits)
+        assert child.fitness.hex() == _scratch(p_dist, TileGrid(tuple(child.rows)), config).hex()
+        if accept:
+            state.commit(child)
+        assert state.fitness().hex() == _scratch(p_dist, state.grid(), config).hex()
+        assert state.counts == extract_distribution(state.grid(), dims).counts
 
 
-def test_evaluator_dims_guard():
+def test_candidate_counts_dims_guard():
     p_dist = extract_distribution(filled("a", 4, 4), FilterDims(2, 2))
     with pytest.raises(DimsMismatchError):
-        FitnessEvaluator(p_dist, DivergenceConfig(dims=FilterDims(3, 3)), 10)
+        CandidateCounts(filled("a", 4, 4), p_dist, DivergenceConfig(dims=FilterDims(3, 3)))
 
 
 def test_hill_climb_determinism():
@@ -387,12 +418,11 @@ def test_snippet_fitness_mario(mario_1_1):
     assert len(rows) == mario_1_1.width - 30 + 1
     offsets = [offset for offset, _ in rows]
     assert offsets == list(range(200))
-    # spot-check a few offsets against the direct computation
+    # every offset against the direct computation
     p_dist = extract_distribution(mario_1_1, config.dims)
-    for offset in (0, 57, 199):
+    for offset, value in rows:
         snippet = mario_1_1.crop(offset, 0, 30, mario_1_1.height)
-        expected = fitness(p_dist, extract_distribution(snippet, config.dims), config)
-        assert rows[offset][1] == expected.fitness
+        assert value.hex() == _scratch(p_dist, snippet, config).hex()
 
 
 def test_snippet_fitness_multiple_levels():
@@ -403,6 +433,20 @@ def test_snippet_fitness_multiple_levels():
     rows = snippet_fitness(training, 4, config)
     assert len(rows) == 3 + 3
     assert [offset for offset, _ in rows] == [0, 1, 2, 0, 1, 2]
+    # The slid fitness equals the crop-and-extract one at every offset of every level.
+    smb = LevelSet.from_grids(
+        (name, load_smb_level(name)) for name in ("mario-1-2", "mario-1-3", "mario-4-2")
+    )
+    for levels, width, weight in ((training, 4, 0.5), (smb, 20, 0.3)):
+        config = DivergenceConfig(dims=FilterDims(2, 2), weight=weight)
+        p_dist = merge_distributions(extract_distribution(g, config.dims) for g in levels.grids)
+        expected = [
+            (offset, _scratch(p_dist, grid.crop(offset, 0, width, grid.height), config).hex())
+            for grid in levels.grids
+            for offset in range(grid.width - width + 1)
+        ]
+        rows = snippet_fitness(levels, width, config)
+        assert [(offset, value.hex()) for offset, value in rows] == expected
 
 
 def test_snippet_fitness_errors(mario_1_1):
@@ -420,16 +464,13 @@ def test_incremental_equals_scratch_under_mutation_stream():
     config = DivergenceConfig(dims=dims)
     p_dist = extract_distribution(training.grids[0], dims)
     rng = random.Random(55)
-    state = CandidateCounts(random_init(training.alphabet, 30, 14, rng), dims)
-    evaluator = FitnessEvaluator(p_dist, config, state.total)
+    state = CandidateCounts(random_init(training.alphabet, 30, 14, rng), p_dist, config)
     for step in range(100):
         mutation = Flip(3.0) if step % 2 else Conv()
-        for edit in mutation.edits(state.rows, training, dims, rng):
-            state.apply(edit)
-        fast = evaluator.fitness_of(state)
-        scratch_state = CandidateCounts(state.grid(), dims)
-        scratch = evaluator.fitness_of(scratch_state)
-        assert fast == scratch
+        child = state.propose(mutation.edits(state.rows, training, dims, rng))
+        state.commit(child)
+        scratch_state = CandidateCounts(state.grid(), p_dist, config)
+        assert child.fitness == scratch_state.fitness() == state.fitness()
 
 
 def test_random_init_frequencies_near_uniform():
@@ -458,9 +499,9 @@ def test_candidate_counts_whole_grid_edit_matches_full_extraction():
     rng = random.Random(11)
     alpha = TileAlphabet.from_symbols("ab-")
     dims = FilterDims(2, 2)
-    state = CandidateCounts(random_init(alpha, 9, 5, rng), dims)
+    state = _state(random_init(alpha, 9, 5, rng), _training_set(), dims)
     replacement = random_init(alpha, 9, 5, rng)
-    state.apply(GridEdit(0, 0, replacement.rows))
+    state.commit(state.propose([GridEdit(0, 0, replacement.rows)]))
     fresh = extract_distribution(replacement, dims)
     assert state.counts == fresh.counts
     assert state.total == fresh.total

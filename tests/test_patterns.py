@@ -12,11 +12,10 @@ from leveldiv import (
     PatternDistribution,
     TileGrid,
     extract_distribution,
-    frequency_report,
     merge_distributions,
-    window_count,
     write_frequency_csv,
 )
+from leveldiv.patterns import window_count
 from oracles import naive_window_counts, random_rows
 
 
@@ -135,8 +134,9 @@ def test_merge_errors():
 
 def test_frequency_report_ordering():
     dist = PatternDistribution(FilterDims(1, 1), {"b": 3, "a": 3, "c": 5}, 11)
-    report = frequency_report(dist)
-    assert [(p.cells, n) for p, n in report] == [("c", 5), ("a", 3), ("b", 3)]
+    buffer = io.StringIO()
+    write_frequency_csv(dist, buffer)
+    assert buffer.getvalue() == "pattern_key,count\n1x1:c,5\n1x1:a,3\n1x1:b,3\n"
 
 
 def test_write_frequency_csv():
