@@ -26,20 +26,7 @@ from .divergence import (
     kl_div,
     write_contributions_csv,
 )
-from .errors import (
-    DimsMismatchError,
-    DuplicateNameError,
-    EmptyDistributionError,
-    EmptyInputError,
-    FilterTooLargeError,
-    InvalidCharacterError,
-    InvalidCutError,
-    LevelDivError,
-    LevelIoError,
-    NegativeDistanceError,
-    RaggedRowsError,
-    SnippetTooWideError,
-)
+from .errors import LevelDivError, LevelIoError
 from .evolve import (
     Conv,
     EvolutionConfig,
@@ -51,7 +38,6 @@ from .evolve import (
 )
 from .levels import (
     LevelSet,
-    TileAlphabet,
     TileGrid,
     load_level,
     parse_level,
@@ -73,33 +59,22 @@ __all__ = [
     "Conv",
     "Dendrogram",
     "DendrogramMerge",
-    "DimsMismatchError",
     "DistanceMatrix",
     "DivergenceConfig",
     "DivergenceResult",
-    "DuplicateNameError",
-    "EmptyDistributionError",
-    "EmptyInputError",
     "EvolutionConfig",
     "EvolutionResult",
     "FilterDims",
-    "FilterTooLargeError",
     "Flip",
     "GridEdit",
     "HeatmapCell",
     "HeatmapTable",
-    "InvalidCharacterError",
-    "InvalidCutError",
     "LevelDivError",
     "LevelIoError",
     "LevelSet",
-    "NegativeDistanceError",
     "Pattern",
     "PatternDistribution",
-    "RaggedRowsError",
     "SMB_LEVEL_TYPES",
-    "SnippetTooWideError",
-    "TileAlphabet",
     "TileGrid",
     "average_linkage",
     "compare_sets",

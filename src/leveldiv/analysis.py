@@ -18,13 +18,7 @@ from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Sequence
 
 from .divergence import DivergenceConfig, kl_div, weighted_divergence
-from .errors import (
-    EmptyInputError,
-    InvalidCutError,
-    LevelDivError,
-    LevelIoError,
-    NegativeDistanceError,
-)
+from .errors import LevelDivError, LevelIoError
 from .levels import LevelSet, TileGrid, load_level
 from .patterns import (
     FilterDims,
@@ -118,27 +112,33 @@ class Dendrogram:
     merges: tuple[DendrogramMerge, ...]
 
     def newick(self) -> str:
-        """Ultrametric Newick string; leaves sit at half the merge height."""
+        """Ultrametric Newick string; leaves sit at half the merge height.
+
+        Built from an explicit stack, so a chained tree of any depth renders.
+        """
         n = len(self.leaves)
-        if not self.merges:
-            return f"{_newick_label(self.leaves[0])};"
-        height = {i: 0.0 for i in range(n)}
+        half = {i: 0.0 for i in range(n)}
         children: dict[int, tuple[int, int]] = {}
         for merge in self.merges:
             children[merge.new_id] = (merge.cluster_a, merge.cluster_b)
-            height[merge.new_id] = merge.height
-
-        def render(node: int, parent_height: float) -> str:
-            length = parent_height / 2.0 - height[node] / 2.0
+            half[merge.new_id] = merge.height / 2.0
+        parts = []
+        # Text to emit as is, or (node, its parent; None for the root).
+        stack: list = [(self.merges[-1].new_id if self.merges else 0, None)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            node, parent = item
+            suffix = ";" if parent is None else f":{half[parent] - half[node]:.12g}"
             if node < n:
-                return f"{_newick_label(self.leaves[node])}:{length:.12g}"
-            a, b = children[node]
-            inner = f"({render(a, height[node])},{render(b, height[node])})"
-            return f"{inner}:{length:.12g}"
-
-        root = self.merges[-1].new_id
-        a, b = children[root]
-        return f"({render(a, height[root])},{render(b, height[root])});"
+                parts.append(_newick_label(self.leaves[node]) + suffix)
+            else:
+                a, b = children[node]
+                parts.append("(")
+                stack += [")" + suffix, (b, node), ",", (a, node)]
+        return "".join(parts)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -177,7 +177,7 @@ def pairwise_matrix(
     results are assembled in order either way.
     """
     if len(levels) < 2:
-        raise EmptyInputError("pairwise matrix needs at least 2 levels")
+        raise LevelDivError("pairwise matrix needs at least 2 levels")
     # Every level's counts stay alive here, so a pattern the levels share keeps one key string.
     keys: dict[str, str] = {}
     dists = []
@@ -207,12 +207,12 @@ def average_linkage(matrix: DistanceMatrix) -> Dendrogram:
     """
     n = len(matrix)
     if n < 2:
-        raise EmptyInputError("clustering needs at least 2 leaves")
+        raise LevelDivError("clustering needs at least 2 leaves")
     sym = matrix.symmetrized()
     for i in range(n):
         for j in range(i + 1, n):
             if sym[i][j] < _NEGATIVE_TOLERANCE:
-                raise NegativeDistanceError(
+                raise LevelDivError(
                     f"symmetrized distance {sym[i][j]!r} between "
                     f"{matrix.names[i]} and {matrix.names[j]} is negative"
                 )
@@ -259,7 +259,7 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> list[int]:
     """
     n = len(dendrogram.leaves)
     if not 1 <= k <= n:
-        raise InvalidCutError(f"cannot cut {n} leaves into {k} clusters")
+        raise LevelDivError(f"cannot cut {n} leaves into {k} clusters")
     parent: dict[int, int] = {}
     for merge in dendrogram.merges[: n - k]:
         parent[merge.cluster_a] = merge.new_id
@@ -318,7 +318,7 @@ def _load_directory(
     try:
         files = sorted(p for p in path.iterdir() if p.is_file())
     except OSError as exc:
-        raise LevelIoError(path, exc) from exc
+        raise LevelIoError(f"cannot read level file {path}: {exc}") from exc
     levels = []
     skipped = 0
     for file in files:
@@ -331,7 +331,7 @@ def _load_directory(
         else:
             levels.append((file.name, grid))
     if not levels:
-        raise EmptyInputError(f"no usable levels in directory {path}")
+        raise LevelDivError(f"no usable levels in directory {path}")
     return path.name, levels, skipped
 
 
@@ -350,13 +350,14 @@ def compare_sets(
     training distribution; std is population standard deviation and count the
     number of usable levels. Files that do not parse, are not UTF-8, or are
     smaller than any of the filters are skipped and tallied in `skipped`; a
-    directory without any usable level is an error. Epsilon and weights are
+    directory without any usable level is an error, and so is (LevelIoError)
+    a file or directory that cannot be read. Epsilon and weights are
     checked as DivergenceConfig checks them.
     """
     if not generated_dirs:
-        raise EmptyInputError("no generated-level directories given")
+        raise LevelDivError("no generated-level directories given")
     if not filters or not weights:
-        raise EmptyInputError("need at least one filter and one weight")
+        raise LevelDivError("need at least one filter and one weight")
     configs = [DivergenceConfig(epsilon, dims, float(w)) for dims in filters for w in weights]
     columns = tuple((config.dims, config.weight) for config in configs)
     training_dists = {

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: patterns, analyze, evolve, cluster, compare, snippets. Exit
-codes: 0 success, 1 usage error, 2 data error (parse, dims, cut), 3 I/O
-error. Randomized commands print the effective seed on standard error, so
+codes: 0 success, 1 usage error (ValueError), 2 data error (LevelDivError:
+parse, dims, cut), 3 I/O error (OSError, which includes LevelIoError).
+Randomized commands print the effective seed on standard error, so
 every run can be reproduced even when --seed was omitted.
 """
 
@@ -28,7 +29,7 @@ from .divergence import (
     fitness,
     write_contributions_csv,
 )
-from .errors import LevelDivError, LevelIoError
+from .errors import LevelDivError
 from .evolve import Conv, EvolutionConfig, Flip, hill_climb, snippet_fitness
 from .levels import LevelSet, TileGrid, decode_level, load_level, serialize_level
 from .patterns import (
@@ -342,7 +343,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 3
-    except (LevelIoError, OSError) as exc:
+    except OSError as exc:
         print(f"leveldiv: i/o error: {exc}", file=sys.stderr)
         return 3
     except LevelDivError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import IO, Iterator, Sequence
 
-from .errors import DimsMismatchError, EmptyDistributionError
+from .errors import LevelDivError
 from .patterns import FilterDims, Pattern, PatternDistribution
 
 
@@ -77,9 +77,9 @@ def _sides(p: PatternDistribution, q: PatternDistribution, epsilon: float) -> tu
     """(P', log P') and (Q', log Q') of each pattern of p, in count-map order;
     patterns seen equally often share them."""
     if p.dims != q.dims:
-        raise DimsMismatchError(f"cannot compare {p.dims} against {q.dims} patterns")
+        raise LevelDivError(f"cannot compare {p.dims} against {q.dims} patterns")
     if not p.counts:
-        raise EmptyDistributionError("first distribution has no patterns")
+        raise LevelDivError("first distribution has no patterns")
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     p_smoothed = {c: _smoothed(c, p.total, epsilon) for c in set(p.counts.values())}
@@ -103,7 +103,7 @@ def fitness(
 ) -> DivergenceResult:
     """Both directed divergences and their weighted fitness, per `config`."""
     if p.dims != config.dims:
-        raise DimsMismatchError(
+        raise LevelDivError(
             f"distributions carry {p.dims} patterns but config expects {config.dims}"
         )
     kl_p_q = kl_div(p, q, config.epsilon)

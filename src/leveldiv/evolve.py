@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 from .divergence import DivergenceConfig, _smoothed, _summand, weighted_divergence
-from .errors import DimsMismatchError, FilterTooLargeError, SnippetTooWideError
-from .levels import LevelSet, TileAlphabet, TileGrid
+from .errors import LevelDivError
+from .levels import LevelSet, TileGrid
 from .patterns import (
     FilterDims,
     PatternDistribution,
@@ -51,11 +51,11 @@ class Flip:
     ) -> list[GridEdit]:
         """Single-cell edits of one application; empty for singleton alphabets.
 
-        Each cell flips with probability rate/(width*height) to a symbol of the
-        training alphabet other than its own. Draw order: one rng.random() per
+        Each cell flips with probability rate/(width*height) to a symbol of
+        `training.symbols` other than its own. Draw order: one rng.random() per
         cell in row-major order, plus one rng.randrange() per flipped cell.
         """
-        symbols = training.alphabet.symbols
+        symbols = training.symbols
         n = len(symbols)
         if n < 2:
             return []
@@ -127,11 +127,11 @@ class EvolutionConfig:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         dims = self.divergence.dims
         if self.target_width < dims.width:
-            raise FilterTooLargeError(
+            raise LevelDivError(
                 f"target width {self.target_width} is narrower than the {dims} filter"
             )
         if self.target_height is not None and self.target_height < dims.height:
-            raise FilterTooLargeError(
+            raise LevelDivError(
                 f"target height {self.target_height} is shorter than the {dims} filter"
             )
 
@@ -194,7 +194,7 @@ class CandidateCounts:
 
     def __init__(self, grid: TileGrid, training: PatternDistribution, config: DivergenceConfig):
         if training.dims != config.dims:
-            raise DimsMismatchError(
+            raise LevelDivError(
                 f"training distribution is {training.dims} but config expects {config.dims}"
             )
         self.config = config
@@ -298,10 +298,9 @@ class CandidateCounts:
 
 
 def random_init(
-    alphabet: TileAlphabet, width: int, height: int, rng: random.Random
+    symbols: tuple[str, ...], width: int, height: int, rng: random.Random
 ) -> TileGrid:
-    """Uniform random grid over `alphabet`; one draw per cell in row-major order."""
-    symbols = alphabet.symbols
+    """Uniform random grid over `symbols`; one draw per cell in row-major order."""
     return TileGrid(
         tuple("".join(rng.choice(symbols) for _ in range(width)) for _ in range(height))
     )
@@ -324,7 +323,7 @@ def hill_climb(training: LevelSet, config: EvolutionConfig) -> EvolutionResult:
         else training.grids[0].height
     )
     rng = random.Random(config.seed)
-    grid = random_init(training.alphabet, config.target_width, height, rng)
+    grid = random_init(training.symbols, config.target_width, height, rng)
     state = CandidateCounts(grid, p_dist, config.divergence)
     parent_fitness = state.fitness()
     trace = [parent_fitness]
@@ -354,13 +353,13 @@ def snippet_fitness(
     """
     dims = config.dims
     if snippet_width < dims.width:
-        raise FilterTooLargeError(
+        raise LevelDivError(
             f"snippet width {snippet_width} is narrower than the {dims} filter"
         )
     p_dist = merge_distributions(level_distributions(training, dims))
     for name, grid in training:
         if snippet_width > grid.width:
-            raise SnippetTooWideError(
+            raise LevelDivError(
                 f"snippet width {snippet_width} exceeds level {name} "
                 f"width {grid.width}"
             )

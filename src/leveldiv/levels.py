@@ -2,8 +2,9 @@
 
 A level is a rectangular grid of printable tile symbols, one character per
 tile, rows top to bottom. Parsing, serialization and level loading live
-here, together with the tile alphabet bookkeeping the rest of the package
-relies on.
+here, together with `LevelSet`, the named levels a command works on. A
+level that does not parse raises `LevelDivError`; a file that cannot be
+read raises `LevelIoError`.
 """
 
 from __future__ import annotations
@@ -13,37 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import (
-    DuplicateNameError,
-    EmptyInputError,
-    InvalidCharacterError,
-    LevelIoError,
-    RaggedRowsError,
-)
-
-
-@dataclass(frozen=True)
-class TileAlphabet:
-    """Ordered set of tile symbols (insertion order of first occurrence)."""
-
-    symbols: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.symbols:
-            raise EmptyInputError("alphabet must contain at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise DuplicateNameError(f"duplicate symbols in alphabet: {self.symbols}")
-        for ch in self.symbols:
-            if len(ch) != 1 or not ch.isprintable():
-                raise InvalidCharacterError(f"invalid tile symbol: {ch!r}")
-
-    @classmethod
-    def from_symbols(cls, symbols: Iterable[str]) -> TileAlphabet:
-        """Build an alphabet keeping the first occurrence order, dropping repeats."""
-        seen: dict[str, None] = {}
-        for ch in symbols:
-            seen.setdefault(ch, None)
-        return cls(tuple(seen))
+from .errors import LevelDivError, LevelIoError
 
 
 @dataclass(frozen=True)
@@ -54,18 +25,18 @@ class TileGrid:
 
     def __post_init__(self) -> None:
         if not self.rows:
-            raise EmptyInputError("grid must have at least one row")
+            raise LevelDivError("grid must have at least one row")
         width = len(self.rows[0])
         if width == 0:
-            raise EmptyInputError("grid rows must not be empty")
+            raise LevelDivError("grid rows must not be empty")
         for i, row in enumerate(self.rows):
             if len(row) != width:
-                raise RaggedRowsError(
+                raise LevelDivError(
                     f"row {i} has length {len(row)}, expected {width}"
                 )
             for ch in row:
                 if not ch.isprintable():
-                    raise InvalidCharacterError(
+                    raise LevelDivError(
                         f"row {i} contains invalid tile symbol {ch!r}"
                     )
 
@@ -102,7 +73,7 @@ def parse_level(text: str) -> TileGrid:
     if normalized.endswith("\n"):
         normalized = normalized[:-1]
     if not normalized:
-        raise EmptyInputError("level text is empty")
+        raise LevelDivError("level text is empty")
     return TileGrid(tuple(normalized.split("\n")))
 
 
@@ -113,25 +84,22 @@ def serialize_level(grid: TileGrid) -> str:
 
 @dataclass(frozen=True)
 class LevelSet:
-    """Named levels plus the union alphabet over all of them."""
+    """Named levels plus their tile symbols, in order of first occurrence."""
 
     levels: tuple[tuple[str, TileGrid], ...]
-    alphabet: TileAlphabet
+    symbols: tuple[str, ...]
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.levels]
         if len(set(names)) != len(names):
-            raise DuplicateNameError(f"duplicate level names: {sorted(names)}")
+            raise LevelDivError(f"duplicate level names: {sorted(names)}")
 
     @classmethod
     def from_grids(cls, named_grids: Iterable[tuple[str, TileGrid]]) -> LevelSet:
         levels = tuple(named_grids)
         if not levels:
-            raise EmptyInputError("level set must contain at least one level")
-        alphabet = TileAlphabet.from_symbols(
-            "".join(grid.cells for _, grid in levels)
-        )
-        return cls(levels, alphabet)
+            raise LevelDivError("level set must contain at least one level")
+        return cls(levels, tuple(dict.fromkeys("".join(grid.cells for _, grid in levels))))
 
     @property
     def names(self) -> list[str]:
@@ -153,13 +121,13 @@ def decode_level(data: bytes, source: str) -> TileGrid:
     try:
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        raise InvalidCharacterError(
+        raise LevelDivError(
             f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
     try:
         return parse_level(text)
-    except (EmptyInputError, RaggedRowsError, InvalidCharacterError) as exc:
-        raise type(exc)(f"{source}: {exc}") from exc
+    except LevelDivError as exc:
+        raise LevelDivError(f"{source}: {exc}") from exc
 
 
 def load_level(path: str | os.PathLike) -> TileGrid:
@@ -168,5 +136,5 @@ def load_level(path: str | os.PathLike) -> TileGrid:
     try:
         data = p.read_bytes()
     except OSError as exc:
-        raise LevelIoError(p, exc) from exc
+        raise LevelIoError(f"cannot read level file {p}: {exc}") from exc
     return decode_level(data, str(p))

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
-from .errors import DimsMismatchError, EmptyInputError, FilterTooLargeError
+from .errors import LevelDivError
 from .levels import TileGrid
 
 
@@ -64,7 +64,7 @@ class Pattern:
 def window_count(grid_width: int, grid_height: int, dims: FilterDims) -> int:
     """Number of window placements of `dims` inside a grid."""
     if dims.width > grid_width or dims.height > grid_height:
-        raise FilterTooLargeError(
+        raise LevelDivError(
             f"filter {dims} does not fit in {grid_width}x{grid_height} grid"
         )
     return (1 + grid_width - dims.width) * (1 + grid_height - dims.height)
@@ -108,8 +108,8 @@ def level_distributions(
     for name, grid in levels:
         try:
             dist = extract_distribution(grid, dims)
-        except FilterTooLargeError as exc:
-            raise FilterTooLargeError(f"level {name}: {exc}") from exc
+        except LevelDivError as exc:
+            raise LevelDivError(f"level {name}: {exc}") from exc
         yield dist
 
 
@@ -121,12 +121,12 @@ def merge_distributions(dists: Iterable[PatternDistribution]) -> PatternDistribu
     for dist in dists:
         dims = dims or dist.dims
         if dist.dims != dims:
-            raise DimsMismatchError(f"cannot merge {dist.dims} into {dims} distribution")
+            raise LevelDivError(f"cannot merge {dist.dims} into {dims} distribution")
         for cells, count in dist.counts.items():
             counts[cells] = counts.get(cells, 0) + count
         total += dist.total
     if dims is None:
-        raise EmptyInputError("no distributions to merge")
+        raise LevelDivError("no distributions to merge")
     return PatternDistribution(dims, counts, total)
 
 

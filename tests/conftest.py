@@ -39,14 +39,26 @@ def tiny_patch_path():
     return _data_dir() / "tiny" / "patch-4x4.txt"
 
 
+def _round_trip(fn, task):
+    """fn(task) as a pool's caller sees it: its result, or the exception it
+    raised, comes back through pickle."""
+    try:
+        result = fn(task)
+    except Exception as exc:
+        raise pickle.loads(pickle.dumps(exc)) from None
+    return pickle.loads(pickle.dumps(result))
+
+
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """Replace ProcessPoolExecutor by a stand-in that starts no process.
 
     It runs the initializer and every task in this process, each through a
-    pickle round trip. The returned record holds the worker count of each pool
-    (`started`) and the bytes a real pool would pickle: the initializer
-    arguments once per worker, plus each task with its function (`pickled`).
+    pickle round trip, and sends back each result or raised exception through
+    pickle too, as a real pool does. The returned record holds the worker
+    count of each pool (`started`) and the bytes a real pool would pickle on
+    the way out: the initializer arguments once per worker, plus each task
+    with its function (`pickled`).
     """
     record = SimpleNamespace(started=[], pickled=0)
 
@@ -67,7 +79,7 @@ def in_process_pool(monkeypatch):
         def map(self, fn, tasks):
             calls = [pickle.dumps((fn, task)) for task in tasks]
             record.pickled += sum(map(len, calls))
-            return [fn(task) for fn, task in map(pickle.loads, calls)]
+            return [_round_trip(fn, task) for fn, task in map(pickle.loads, calls)]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return record

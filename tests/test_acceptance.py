@@ -285,7 +285,7 @@ def test_criterion_8_incremental_equals_scratch(training_set):
     training_dist = extract_distribution(training_set.grids[0], dims)
     rng = random.Random(99)
     state = CandidateCounts(
-        random_init(training_set.alphabet, 30, 14, rng), training_dist, config
+        random_init(training_set.symbols, 30, 14, rng), training_dist, config
     )
     mismatches = 0
     for step in range(1000):

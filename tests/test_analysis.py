@@ -14,13 +14,10 @@ from leveldiv import (
     DendrogramMerge,
     DistanceMatrix,
     DivergenceConfig,
-    EmptyInputError,
     EvolutionConfig,
     FilterDims,
-    FilterTooLargeError,
-    InvalidCutError,
+    LevelDivError,
     LevelSet,
-    NegativeDistanceError,
     TileGrid,
     average_linkage,
     compare_sets,
@@ -92,7 +89,7 @@ def test_pairwise_matrix_parallel_matches_serial():
 
 def test_pairwise_matrix_needs_two_levels():
     levels = LevelSet.from_grids([("solo", TileGrid(("ab", "ba")))])
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(LevelDivError, match="pairwise matrix needs at least 2 levels"):
         pairwise_matrix(levels, DivergenceConfig(dims=FilterDims(2, 2)))
 
 
@@ -100,7 +97,7 @@ def test_pairwise_matrix_names_offending_level():
     levels = LevelSet.from_grids(
         [("big", filled("a", 8, 8)), ("small", TileGrid(("ab", "ba")))]
     )
-    with pytest.raises(FilterTooLargeError) as err:
+    with pytest.raises(LevelDivError, match="filter 4x4 does not fit in 2x2 grid") as err:
         pairwise_matrix(levels, DivergenceConfig(dims=FilterDims(4, 4)))
     assert "small" in str(err.value)
 
@@ -203,15 +200,15 @@ def test_cut_refines_coarser_cut():
 
 def test_cut_validation():
     dendro = average_linkage(_matrix([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(InvalidCutError):
+    with pytest.raises(LevelDivError, match="cannot cut 2 leaves into 0 clusters"):
         cut_dendrogram(dendro, 0)
-    with pytest.raises(InvalidCutError):
+    with pytest.raises(LevelDivError, match="cannot cut 2 leaves into 3 clusters"):
         cut_dendrogram(dendro, 3)
 
 
 def test_negative_distance_rejected():
     values = [[0.0, -1.0], [-1.0, 0.0]]
-    with pytest.raises(NegativeDistanceError):
+    with pytest.raises(LevelDivError, match="symmetrized distance -1.0 between .* is negative"):
         average_linkage(_matrix(values))
     # tiny negative rounding noise is tolerated
     noise = [[0.0, -1e-12], [-1e-12, 0.0]]
@@ -220,7 +217,7 @@ def test_negative_distance_rejected():
 
 def test_clustering_needs_two_leaves():
     matrix = DistanceMatrix(("solo",), ((0.0,),))
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(LevelDivError, match="clustering needs at least 2 leaves"):
         average_linkage(matrix)
 
 
@@ -253,6 +250,20 @@ def test_dendrogram_json():
     assert data["leaves"] == ["a", "b"]
     assert data["merges"] == [{"a": 0, "b": 1, "height": 2.5, "id": 2}]
     assert data["newick"] == "(a:1.25,b:1.25);"
+
+
+def test_newick_renders_a_chain_deeper_than_the_recursion_limit():
+    # each merge adds one leaf to the cluster before it: 1,099 nested levels
+    n = 1100
+    merges = [DendrogramMerge(0, 1, 1.0, n)]
+    for leaf in range(2, n):
+        merges.append(DendrogramMerge(n + leaf - 2, leaf, float(leaf), n + leaf - 1))
+    dendro = Dendrogram(tuple(f"l{i}" for i in range(n)), tuple(merges))
+    tree = dendro.newick()
+    assert tree.startswith("(" * (n - 1) + "l0:0.5,l1:0.5):0.5,l2:1):0.5,l3:1.5)")
+    assert tree.endswith("):0.5,l1099:549.5);")
+    assert tree.count("(") == tree.count(")") == n - 1
+    assert json.loads(dendro.to_json())["newick"] == tree
 
 
 def test_smb_corpus_clusters_by_type_at_default_settings():
@@ -339,7 +350,7 @@ def test_compare_sets_empty_directory_fails(tmp_path):
     training = _grid_set()
     empty = tmp_path / "empty"
     empty.mkdir()
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(LevelDivError, match="no usable levels in directory"):
         compare_sets(training, [empty], [FilterDims(2, 2)], [0.5])
 
 
@@ -410,12 +421,12 @@ def test_parallel_runs_pickle_shared_data_once_per_worker(tmp_path, monkeypatch,
 
 def test_compare_sets_argument_validation(tmp_path):
     training = _grid_set()
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(LevelDivError, match="no generated-level directories given"):
         compare_sets(training, [], [FilterDims(2, 2)], [0.5])
     _write_levels(tmp_path / "gen", [("only", TileGrid(("ab", "ba")))])
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(LevelDivError, match="need at least one filter and one weight"):
         compare_sets(training, [tmp_path / "gen"], [], [0.5])
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(LevelDivError, match="need at least one filter and one weight"):
         compare_sets(training, [tmp_path / "gen"], [FilterDims(2, 2)], [])
     with pytest.raises(ValueError):
         compare_sets(training, [tmp_path / "gen"], [FilterDims(2, 2)], [1.5])
@@ -522,7 +533,7 @@ def generator_dirs(tmp_path_factory):
     random_dir = root / "random"
     random_dir.mkdir()
     for i in range(100):
-        grid = random_init(training.alphabet, 30, 14, rng)
+        grid = random_init(training.symbols, 30, 14, rng)
         (random_dir / f"level-{i:03d}.txt").write_text(
             serialize_level(grid) + "\n", encoding="utf-8"
         )

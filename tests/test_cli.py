@@ -267,6 +267,43 @@ def test_compare_end_to_end(capsys, tmp_path):
     assert float(rows[1][1]) >= 0.0
 
 
+def test_compare_unreadable_file_is_io_error(capsys, tmp_path, monkeypatch):
+    gen = tmp_path / "gen"
+    gen.mkdir()
+    for name in ("a.txt", "locked.txt"):
+        (gen / name).write_text("ab\nba\n")
+    read_bytes = Path.read_bytes
+
+    def guarded(path):
+        # chmod 000 does not stop root, so the denial is simulated
+        if path.name == "locked.txt":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", guarded)
+    training = str(smb_level_path("mario-1-1"))
+    code, out, err = _run(capsys, "compare", str(gen), "--training", training,
+                          "--filters", "1x1")
+    assert code == 3
+    assert "leveldiv: i/o error: cannot read level file" in err
+    assert "locked.txt" in err
+    assert out == ""
+
+
+def test_compare_jobs_io_error_from_real_pool(capsys, tmp_path, monkeypatch):
+    gen = tmp_path / "gen"
+    gen.mkdir()
+    (gen / "a.txt").write_text("ab\nba\n")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any host
+    training = str(smb_level_path("mario-1-1"))
+    code, out, err = _run(capsys, "compare", str(gen), str(tmp_path / "missing"),
+                          "--training", training, "--filters", "1x1", "--jobs", "2")
+    assert code == 3
+    assert "leveldiv: i/o error: cannot read level file" in err
+    assert "missing" in err
+    assert out == ""
+
+
 def test_compare_requires_training(capsys, tmp_path):
     code, _, _ = _run(capsys, "compare", str(tmp_path))
     assert code == 1

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leveldiv import (
-    DimsMismatchError,
     DivergenceConfig,
-    EmptyDistributionError,
     FilterDims,
+    LevelDivError,
     PatternDistribution,
     TileGrid,
     contributions,
@@ -151,10 +150,10 @@ def test_kl_against_blank_grid_is_positive(mario_1_1):
 def test_kl_errors():
     p = _dist(["ab", "ba"])
     q3 = _dist(["abc", "bca", "cab"], 3, 3)
-    with pytest.raises(DimsMismatchError):
+    with pytest.raises(LevelDivError, match="cannot compare 2x2 against 3x3 patterns"):
         kl_div(p, q3, 1e-5)
     empty = PatternDistribution(FilterDims(2, 2), {}, 0)
-    with pytest.raises(EmptyDistributionError):
+    with pytest.raises(LevelDivError, match="first distribution has no patterns"):
         kl_div(empty, p, 1e-5)
     with pytest.raises(ValueError):
         kl_div(p, p, 0.0)
@@ -217,7 +216,7 @@ def test_symmetry_at_half_weight_is_exact():
 
 def test_fitness_dims_must_match_config():
     p = _dist(["ab", "ba"])
-    with pytest.raises(DimsMismatchError):
+    with pytest.raises(LevelDivError, match="2x2 patterns but config expects 3x3"):
         fitness(p, p, DivergenceConfig(dims=FilterDims(3, 3)))
 
 

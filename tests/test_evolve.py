@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 
 from leveldiv import (
     Conv,
-    DimsMismatchError,
     DivergenceConfig,
     EvolutionConfig,
     FilterDims,
-    FilterTooLargeError,
     Flip,
     GridEdit,
+    LevelDivError,
     LevelSet,
-    SnippetTooWideError,
-    TileAlphabet,
     TileGrid,
     extract_distribution,
     fitness,
@@ -40,7 +37,7 @@ def _training_set():
 
 
 def _symbols(symbols):
-    """A training set whose alphabet is `symbols`, in that order."""
+    """A training set whose symbols are `symbols`, in that order."""
     return LevelSet.from_grids([("symbols", TileGrid((symbols,)))])
 
 
@@ -78,9 +75,9 @@ def _small_config(**overrides):
 def test_config_validation():
     with pytest.raises(ValueError):
         EvolutionConfig(budget=0)
-    with pytest.raises(FilterTooLargeError):
-        EvolutionConfig(target_width=3)  # narrower than the default 4x4 filter
-    with pytest.raises(FilterTooLargeError):
+    with pytest.raises(LevelDivError, match="target width 3 is narrower than the 4x4 filter"):
+        EvolutionConfig(target_width=3)
+    with pytest.raises(LevelDivError, match="target height 3 is shorter than the 4x4 filter"):
         EvolutionConfig(target_height=3)
     with pytest.raises(ValueError):
         Flip(rate=0.0)
@@ -92,11 +89,11 @@ def test_config_validation():
 
 
 def test_random_init_properties():
-    alpha = TileAlphabet.from_symbols("ab-")
-    grid = random_init(alpha, 7, 4, random.Random(1))
+    symbols = ("a", "b", "-")
+    grid = random_init(symbols, 7, 4, random.Random(1))
     assert grid.width == 7 and grid.height == 4
-    assert set(grid.cells) <= set(alpha.symbols)
-    again = random_init(alpha, 7, 4, random.Random(1))
+    assert set(grid.cells) <= set(symbols)
+    again = random_init(symbols, 7, 4, random.Random(1))
     assert grid == again
 
 
@@ -174,7 +171,7 @@ def test_conv_mutate_copies_a_training_window():
         ys = [y for _, y in diff]
         assert max(xs) - min(xs) < dims.width
         assert max(ys) - min(ys) < dims.height
-        assert set(mutated.cells) <= set(training.alphabet.symbols) | {"-"}
+        assert set(mutated.cells) <= set(training.symbols) | {"-"}
     # a seeded draw reproduces exactly
     a = _mutated(Conv(), base, training, dims, random.Random(8))
     b = _mutated(Conv(), base, training, dims, random.Random(8))
@@ -209,7 +206,7 @@ def test_conv_mutate_patch_contents_match_source():
 
 def test_candidate_counts_propose_and_commit():
     rng = random.Random(11)
-    grid = random_init(TileAlphabet.from_symbols("ab-"), 9, 7, rng)
+    grid = random_init(("a", "b", "-"), 9, 7, rng)
     dims = FilterDims(3, 2)
     state = _state(grid, _training_set(), dims)
     for step in range(300):
@@ -249,11 +246,11 @@ def test_candidate_counts_fitness_matches_scratch():
     p_dist = merge_distributions(
         [extract_distribution(g, dims) for g in training.grids]
     )
-    state = CandidateCounts(random_init(training.alphabet, 10, 6, rng), p_dist, config)
+    state = CandidateCounts(random_init(training.symbols, 10, 6, rng), p_dist, config)
     for _ in range(50):
         edit = GridEdit(
             rng.randint(0, 8), rng.randint(0, 4),
-            (rng.choice(training.alphabet.symbols) * 2,),
+            (rng.choice(training.symbols) * 2,),
         )
         state.commit(state.propose([edit]))
         scratch = fitness(p_dist, extract_distribution(state.grid(), dims), config)
@@ -271,7 +268,7 @@ def test_candidate_counts_commit_after_a_finer_proposal():
     dims = FilterDims(2, 2)
     config = DivergenceConfig(dims=dims)
     p_dist = extract_distribution(training.grids[0], dims)
-    state = CandidateCounts(random_init(training.alphabet, 10, 6, rng), p_dist, config)
+    state = CandidateCounts(random_init(training.symbols, 10, 6, rng), p_dist, config)
     refined = 0
     for _ in range(200):
         first = state.propose(Conv().edits(state.rows, training, dims, rng))
@@ -325,7 +322,7 @@ def test_incremental_fitness_equals_scratch_under_random_edits(data):
 
 def test_candidate_counts_dims_guard():
     p_dist = extract_distribution(filled("a", 4, 4), FilterDims(2, 2))
-    with pytest.raises(DimsMismatchError):
+    with pytest.raises(LevelDivError, match="training distribution is 2x2 but config expects 3x3"):
         CandidateCounts(filled("a", 4, 4), p_dist, DivergenceConfig(dims=FilterDims(3, 3)))
 
 
@@ -379,7 +376,7 @@ def test_hill_climb_target_dims():
 def test_hill_climb_alphabet_closure():
     training = _training_set()
     result = hill_climb(training, _small_config())
-    assert set(result.best.cells) <= set(training.alphabet.symbols)
+    assert set(result.best.cells) <= set(training.symbols)
 
 
 def test_hill_climb_singleton_alphabet_flip_stalls():
@@ -407,7 +404,7 @@ def test_hill_climb_training_must_fit_filter():
         target_height=8,
         budget=5,
     )
-    with pytest.raises(FilterTooLargeError):
+    with pytest.raises(LevelDivError, match="level dot: filter 3x3 does not fit in 2x2 grid"):
         hill_climb(training, config)
 
 
@@ -451,9 +448,9 @@ def test_snippet_fitness_multiple_levels():
 
 def test_snippet_fitness_errors(mario_1_1):
     training = LevelSet.from_grids([("mario-1-1", mario_1_1)])
-    with pytest.raises(SnippetTooWideError):
+    with pytest.raises(LevelDivError, match="snippet width 300 exceeds level mario-1-1 width 229"):
         snippet_fitness(training, 300, DivergenceConfig(dims=FilterDims(4, 4)))
-    with pytest.raises(FilterTooLargeError):
+    with pytest.raises(LevelDivError, match="snippet width 3 is narrower than the 4x4 filter"):
         snippet_fitness(training, 3, DivergenceConfig(dims=FilterDims(4, 4)))
 
 
@@ -464,7 +461,7 @@ def test_incremental_equals_scratch_under_mutation_stream():
     config = DivergenceConfig(dims=dims)
     p_dist = extract_distribution(training.grids[0], dims)
     rng = random.Random(55)
-    state = CandidateCounts(random_init(training.alphabet, 30, 14, rng), p_dist, config)
+    state = CandidateCounts(random_init(training.symbols, 30, 14, rng), p_dist, config)
     for step in range(100):
         mutation = Flip(3.0) if step % 2 else Conv()
         child = state.propose(mutation.edits(state.rows, training, dims, rng))
@@ -475,13 +472,13 @@ def test_incremental_equals_scratch_under_mutation_stream():
 
 def test_random_init_frequencies_near_uniform():
     # 10,000 cells over 11 symbols: each count within 5 binomial sigma of n/11
-    alpha = TileAlphabet.from_symbols("-<>?EQSX[]o")
-    grid = random_init(alpha, 100, 100, random.Random(3))
+    symbols = tuple("-<>?EQSX[]o")
+    grid = random_init(symbols, 100, 100, random.Random(3))
     joined = "".join(grid.rows)
     n = 100 * 100
-    p = 1.0 / len(alpha.symbols)
+    p = 1.0 / len(symbols)
     sigma = (n * p * (1.0 - p)) ** 0.5
-    for symbol in alpha.symbols:
+    for symbol in symbols:
         assert abs(joined.count(symbol) - n * p) < 5.0 * sigma
 
 
@@ -497,10 +494,10 @@ def test_conv_mutate_filter_sized_candidate_is_a_training_window():
 
 def test_candidate_counts_whole_grid_edit_matches_full_extraction():
     rng = random.Random(11)
-    alpha = TileAlphabet.from_symbols("ab-")
+    symbols = ("a", "b", "-")
     dims = FilterDims(2, 2)
-    state = _state(random_init(alpha, 9, 5, rng), _training_set(), dims)
-    replacement = random_init(alpha, 9, 5, rng)
+    state = _state(random_init(symbols, 9, 5, rng), _training_set(), dims)
+    replacement = random_init(symbols, 9, 5, rng)
     state.commit(state.propose([GridEdit(0, 0, replacement.rows)]))
     fresh = extract_distribution(replacement, dims)
     assert state.counts == fresh.counts

@@ -1,13 +1,9 @@
 import pytest
 
 from leveldiv import (
-    DuplicateNameError,
-    EmptyInputError,
-    InvalidCharacterError,
+    LevelDivError,
     LevelIoError,
     LevelSet,
-    RaggedRowsError,
-    TileAlphabet,
     TileGrid,
     load_level,
     parse_level,
@@ -27,7 +23,7 @@ def test_parse_strips_single_trailing_newline_only():
     assert parse_level("ab\ncd").rows == ("ab", "cd")
     assert parse_level("ab\ncd\n").rows == ("ab", "cd")
     # a second trailing newline leaves an empty final row behind
-    with pytest.raises(RaggedRowsError):
+    with pytest.raises(LevelDivError, match="row 2 has length 0, expected 2"):
         parse_level("ab\ncd\n\n")
 
 
@@ -37,21 +33,21 @@ def test_parse_normalizes_crlf():
 
 
 def test_parse_empty():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(LevelDivError, match="level text is empty"):
         parse_level("")
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(LevelDivError, match="level text is empty"):
         parse_level("\n")
 
 
 def test_parse_ragged():
-    with pytest.raises(RaggedRowsError):
+    with pytest.raises(LevelDivError, match="row 1 has length 3, expected 2"):
         parse_level("ab\nabc\n")
 
 
 def test_parse_rejects_unprintable():
-    with pytest.raises(InvalidCharacterError):
+    with pytest.raises(LevelDivError, match=r"invalid tile symbol '\\t'"):
         parse_level("a\tb\nxy z"[:3])  # tab inside a row
-    with pytest.raises(InvalidCharacterError):
+    with pytest.raises(LevelDivError, match=r"invalid tile symbol '\\x01'"):
         TileGrid(("a\x01",))
 
 
@@ -63,11 +59,11 @@ def test_serialize_inverse_of_parse():
 
 
 def test_grid_validation():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(LevelDivError, match="at least one row"):
         TileGrid(())
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(LevelDivError, match="rows must not be empty"):
         TileGrid(("",))
-    with pytest.raises(RaggedRowsError):
+    with pytest.raises(LevelDivError, match="row 1 has length 1, expected 2"):
         TileGrid(("ab", "a"))
 
 
@@ -81,22 +77,6 @@ def test_grid_crop():
         grid.crop(-1, 0, 2, 2)
 
 
-def test_alphabet_first_occurrence_order():
-    alpha = TileAlphabet.from_symbols("banana")
-    assert alpha.symbols == ("b", "a", "n")
-    assert "a" in alpha.symbols and "z" not in alpha.symbols
-    assert len(alpha.symbols) == 3
-
-
-def test_alphabet_validation():
-    with pytest.raises(EmptyInputError):
-        TileAlphabet(())
-    with pytest.raises(DuplicateNameError):
-        TileAlphabet(("a", "a"))
-    with pytest.raises(InvalidCharacterError):
-        TileAlphabet(("ab",))
-
-
 def test_level_set_basics():
     g1 = TileGrid(("ab",))
     g2 = TileGrid(("cd",))
@@ -104,17 +84,19 @@ def test_level_set_basics():
     assert levels.names == ["one", "two"]
     assert levels.grids == [g1, g2]
     assert len(levels) == 2
-    assert levels.alphabet.symbols == ("a", "b", "c", "d")
+    assert levels.symbols == ("a", "b", "c", "d")
+    # symbols keep the order of first occurrence and drop repeats
+    assert LevelSet.from_grids([("fruit", TileGrid(("banana",)))]).symbols == ("b", "a", "n")
 
 
 def test_level_set_duplicate_names():
     grid = TileGrid(("ab",))
-    with pytest.raises(DuplicateNameError):
+    with pytest.raises(LevelDivError, match="duplicate level names"):
         LevelSet.from_grids([("one", grid), ("one", grid)])
 
 
 def test_level_set_empty():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(LevelDivError, match="at least one level"):
         LevelSet.from_grids([])
 
 
@@ -134,13 +116,13 @@ def test_load_level_drops_byte_order_mark(tmp_path):
 def test_load_level_names_non_utf8_file(tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"-X\nX\xe9\n")
-    with pytest.raises(InvalidCharacterError) as err:
+    with pytest.raises(LevelDivError, match="not UTF-8 text") as err:
         load_level(path)
     assert "latin1.txt" in str(err.value)
 
 
 def test_load_level_missing_file(tmp_path):
-    with pytest.raises(LevelIoError) as err:
+    with pytest.raises(LevelIoError, match="cannot read level file") as err:
         load_level(tmp_path / "nope.txt")
     assert "nope.txt" in str(err.value)
 

@@ -4,10 +4,8 @@ import random
 import pytest
 
 from leveldiv import (
-    DimsMismatchError,
-    EmptyInputError,
     FilterDims,
-    FilterTooLargeError,
+    LevelDivError,
     Pattern,
     PatternDistribution,
     TileGrid,
@@ -38,9 +36,9 @@ def test_window_count_formula():
     assert window_count(202, 14, FilterDims(2, 2)) == 201 * 13
     assert window_count(3, 3, FilterDims(3, 3)) == 1
     assert window_count(5, 2, FilterDims(1, 1)) == 10
-    with pytest.raises(FilterTooLargeError):
+    with pytest.raises(LevelDivError, match="filter 4x1 does not fit in 3x3 grid"):
         window_count(3, 3, FilterDims(4, 1))
-    with pytest.raises(FilterTooLargeError):
+    with pytest.raises(LevelDivError, match="filter 1x4 does not fit in 3x3 grid"):
         window_count(3, 3, FilterDims(1, 4))
 
 
@@ -80,7 +78,7 @@ def test_extract_matches_naive_oracle():
 
 def test_extract_filter_too_large():
     grid = TileGrid(("ab", "cd"))
-    with pytest.raises(FilterTooLargeError):
+    with pytest.raises(LevelDivError, match="filter 3x1 does not fit in 2x2 grid"):
         extract_distribution(grid, FilterDims(3, 1))
 
 
@@ -124,11 +122,11 @@ def test_merge_commutative_and_associative():
 
 
 def test_merge_errors():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(LevelDivError, match="no distributions to merge"):
         merge_distributions([])
     d1 = extract_distribution(TileGrid(("ab",)), FilterDims(1, 1))
     d2 = extract_distribution(TileGrid(("ab",)), FilterDims(2, 1))
-    with pytest.raises(DimsMismatchError):
+    with pytest.raises(LevelDivError, match="cannot merge 2x1 into 1x1 distribution"):
         merge_distributions([d1, d2])
 
 
