@@ -85,8 +85,14 @@ def test_level_set_basics():
     assert levels.grids == [g1, g2]
     assert len(levels) == 2
     assert levels.symbols == ("a", "b", "c", "d")
+
+
+def test_alphabet_first_occurrence_order():
     # symbols keep the order of first occurrence and drop repeats
-    assert LevelSet.from_grids([("fruit", TileGrid(("banana",)))]).symbols == ("b", "a", "n")
+    symbols = LevelSet.from_grids([("fruit", TileGrid(("banana",)))]).symbols
+    assert symbols == ("b", "a", "n")
+    assert "a" in symbols and "z" not in symbols
+    assert len(symbols) == 3
 
 
 def test_level_set_duplicate_names():
