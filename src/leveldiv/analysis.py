@@ -13,13 +13,12 @@ import json
 import os
 import statistics
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 from .divergence import DivergenceConfig, kl_div, weighted_divergence
 from .errors import LevelDivError, LevelIoError
-from .levels import LevelSet, TileGrid, load_level
+from .levels import LevelSet, TileGrid, _path_names, load_level
 from .patterns import (
     FilterDims,
     PatternDistribution,
@@ -31,37 +30,6 @@ from .patterns import (
 # Symmetrized entries may dip this far below zero before it is treated as a
 # smoothing pathology rather than rounding noise.
 _NEGATIVE_TOLERANCE = -1e-9
-
-
-_task: Callable[[Any], Any] | None = None  # set in each pool worker by _map
-
-
-def _set_task(fn: Callable[[Any], Any]) -> None:
-    global _task
-    _task = fn
-
-
-def _run_task(task: Any) -> Any:
-    return _task(task)
-
-
-def _map(fn: Callable[[Any, Any], Any], shared: Any, tasks: Sequence[Any], jobs: int) -> list:
-    """fn(shared, task) over tasks, in order; in worker processes when more than one
-    can be busy, each of which is sent `shared` once rather than with every task.
-
-    Workers are capped by the task count and the CPU count, so `jobs` never
-    starts idle processes. The pool module is imported only when a pool
-    starts, which keeps its import time out of every serial command.
-    """
-    bound = partial(fn, shared)
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return list(map(bound, tasks))
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_task, initargs=(bound,))
-    with pool:
-        return list(pool.map(_run_task, tasks))
 
 
 def _newick_label(name: str) -> str:
@@ -159,22 +127,11 @@ class Dendrogram:
         )
 
 
-def _directed_row(shared: tuple[list[PatternDistribution], float], i: int) -> list[float]:
-    dists, epsilon = shared
-    return [
-        0.0 if i == j else kl_div(dists[i], dists[j], epsilon)
-        for j in range(len(dists))
-    ]
-
-
-def pairwise_matrix(
-    levels: LevelSet, config: DivergenceConfig, jobs: int = 1
-) -> DistanceMatrix:
+def pairwise_matrix(levels: LevelSet, config: DivergenceConfig) -> DistanceMatrix:
     """Weighted divergence between every ordered level pair; zero diagonal.
 
-    Each level's distribution is extracted once and both directed divergences
-    are computed per unordered pair. `jobs` > 1 spreads rows over processes;
-    results are assembled in order either way.
+    Each level's distribution is extracted once and each directed divergence
+    is computed once.
     """
     if len(levels) < 2:
         raise LevelDivError("pairwise matrix needs at least 2 levels")
@@ -186,7 +143,10 @@ def pairwise_matrix(
         dists.append(PatternDistribution(dist.dims, counts, dist.total))
     del keys
     n = len(dists)
-    directed = _map(_directed_row, (dists, config.epsilon), range(n), jobs)
+    directed = [
+        [0.0 if i == j else kl_div(dists[i], dists[j], config.epsilon) for j in range(n)]
+        for i in range(n)
+    ]
     w = config.weight
     values = tuple(
         tuple(
@@ -312,13 +272,13 @@ class HeatmapTable:
 
 def _load_directory(
     directory: str | os.PathLike, filters: Iterable[FilterDims]
-) -> tuple[str, list[tuple[str, TileGrid]], int]:
-    """(directory name, usable levels, files skipped); every filter fits a usable level."""
+) -> tuple[list[tuple[str, TileGrid]], int]:
+    """(usable levels, files skipped); every filter fits a usable level."""
     path = Path(directory)
     try:
         files = sorted(p for p in path.iterdir() if p.is_file())
     except OSError as exc:
-        raise LevelIoError(f"cannot read level file {path}: {exc}") from exc
+        raise LevelIoError(f"cannot read level directory {path}: {exc}") from exc
     levels = []
     skipped = 0
     for file in files:
@@ -332,7 +292,7 @@ def _load_directory(
             levels.append((file.name, grid))
     if not levels:
         raise LevelDivError(f"no usable levels in directory {path}")
-    return path.name, levels, skipped
+    return levels, skipped
 
 
 def compare_sets(
@@ -341,18 +301,19 @@ def compare_sets(
     filters: Sequence[FilterDims],
     weights: Sequence[float],
     epsilon: float = 1e-5,
-    jobs: int = 1,
 ) -> HeatmapTable:
     """Score each directory of generated levels against the training set.
 
     For every (filter, weight) column the cell is the mean over the
     directory's levels of w*kl(P,Q) + (1-w)*kl(Q,P), with P the merged
     training distribution; std is population standard deviation and count the
-    number of usable levels. Files that do not parse, are not UTF-8, or are
-    smaller than any of the filters are skipped and tallied in `skipped`; a
-    directory without any usable level is an error, and so is (LevelIoError)
-    a file or directory that cannot be read. Epsilon and weights are
-    checked as DivergenceConfig checks them.
+    number of usable levels. Rows are named by directory basename, or by the
+    path as given where basenames collide; the same path twice is an error.
+    Files that do not parse, are not UTF-8, or are smaller than any of the
+    filters are skipped and tallied in `skipped`; a directory without any
+    usable level is an error, and so is (LevelIoError) a file or directory
+    that cannot be read. Epsilon and weights are checked as DivergenceConfig
+    checks them, and two columns with one name are a ValueError.
     """
     if not generated_dirs:
         raise LevelDivError("no generated-level directories given")
@@ -360,15 +321,34 @@ def compare_sets(
         raise LevelDivError("need at least one filter and one weight")
     configs = [DivergenceConfig(epsilon, dims, float(w)) for dims in filters for w in weights]
     columns = tuple((config.dims, config.weight) for config in configs)
+    names = [HeatmapTable.column_name(dims, weight) for dims, weight in columns]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"duplicate compare column {name}")
+    paths = [os.fspath(directory) for directory in generated_dirs]
+    rows = _path_names(paths, [Path(path).name for path in paths], "directory")
     training_dists = {
         dims: merge_distributions(level_distributions(training, dims))
         for dims in filters
     }
-    loaded = _map(_compare_one_directory, (training_dists, epsilon), generated_dirs, jobs)
-    rows = []
+    loaded = []
+    for path in paths:
+        levels, skip = _load_directory(path, filters)
+        # Both directions once per level and filter, shared by every weight.
+        directed = {
+            dims: [
+                (kl_div(p, q, epsilon), kl_div(q, p, epsilon))
+                for q in level_distributions(levels, dims)
+            ]
+            for dims, p in training_dists.items()
+        }
+        loaded.append((directed, skip))
+    # Cells are built once every directory is scored: building them in between
+    # left the statistics temporaries among the level loads, which measured
+    # about 8 KiB more peak memory.
     cells = []
     skipped = []
-    for name, directed, skip in loaded:
+    for directed, skip in loaded:
         row = []
         for dims, weight in columns:
             values = [weighted_divergence(pq, qp, weight) for pq, qp in directed[dims]]
@@ -379,24 +359,6 @@ def compare_sets(
                     len(values),
                 )
             )
-        rows.append(name)
         cells.append(tuple(row))
         skipped.append(skip)
     return HeatmapTable(tuple(rows), columns, tuple(cells), tuple(skipped))
-
-
-def _compare_one_directory(
-    shared: tuple[dict[FilterDims, PatternDistribution], float],
-    directory: str | os.PathLike,
-) -> tuple[str, dict[FilterDims, list[tuple[float, float]]], int]:
-    """Both directed divergences per level and filter for one directory."""
-    training_dists, epsilon = shared
-    name, levels, skipped = _load_directory(directory, training_dists)
-    directed = {
-        dims: [
-            (kl_div(p, q, epsilon), kl_div(q, p, epsilon))
-            for q in level_distributions(levels, dims)
-        ]
-        for dims, p in training_dists.items()
-    }
-    return name, directed, skipped

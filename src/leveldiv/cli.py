@@ -31,7 +31,7 @@ from .divergence import (
 )
 from .errors import LevelDivError
 from .evolve import Conv, EvolutionConfig, Flip, hill_climb, snippet_fitness
-from .levels import LevelSet, TileGrid, decode_level, load_level, serialize_level
+from .levels import LevelSet, TileGrid, _path_names, decode_level, load_level, serialize_level
 from .patterns import (
     FilterDims,
     level_distributions,
@@ -92,7 +92,7 @@ def _read_level(path: str) -> TileGrid:
 def _read_level_set(paths: Sequence[str]) -> LevelSet:
     """Levels named by file stem ('-' is stdin), or by the path given where stems clash."""
     stems = ["stdin" if p == "-" else Path(p).stem for p in paths]
-    names = [p if stems.count(stem) > 1 else stem for p, stem in zip(paths, stems)]
+    names = _path_names(paths, stems, "level")
     return LevelSet.from_grids([(name, _read_level(p)) for name, p in zip(names, paths)])
 
 
@@ -173,7 +173,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     levels = _read_level_set(args.levels)
-    matrix = pairwise_matrix(levels, _divergence_config(args), jobs=args.jobs)
+    matrix = pairwise_matrix(levels, _divergence_config(args))
     dendrogram = average_linkage(matrix)
     if args.matrix_out is not None:
         with _open_out(args.matrix_out) as stream:
@@ -200,14 +200,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     training = _read_level_set(args.training)
     filters = args.filters or [FilterDims(4, 4)]
     weights = args.weights or [0.5]
-    table = compare_sets(
-        training,
-        args.dirs,
-        filters,
-        weights,
-        epsilon=args.epsilon,
-        jobs=args.jobs,
-    )
+    table = compare_sets(training, args.dirs, filters, weights, epsilon=args.epsilon)
     for name, skipped in zip(table.rows, table.skipped):
         if skipped:
             print(f"warning: skipped {skipped} unusable file(s) in {name}",
@@ -300,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the merge tree as JSON here")
     p.add_argument("--newick-out", metavar="PATH",
                    help="write the merge tree in Newick format here")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel worker processes (default 1)")
     common(p)
     p.set_defaults(func=_cmd_cluster)
 
@@ -314,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="filter size; repeatable (default 4x4)")
     p.add_argument("--weights", action="append", type=_weight_arg, metavar="W",
                    help="asymmetry weight; repeatable (default 0.5)")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel worker processes (default 1)")
     common(p, filtered=False, weighted=False)
     p.set_defaults(func=_cmd_compare)
 

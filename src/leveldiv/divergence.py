@@ -65,6 +65,10 @@ def weighted_divergence(kl_p_q: float, kl_q_p: float, weight: float) -> float:
 def _smoothed(count: int, total: int, epsilon: float) -> tuple[float, float]:
     """P' and log P' of a pattern seen `count` times out of `total` windows."""
     prob = smoothed_prob(count, total, epsilon)
+    if prob == 0.0:
+        raise ValueError(
+            f"epsilon {epsilon!r} is too small for a window total of {total}: P' underflows to 0"
+        )
     return prob, math.log(prob)
 
 

@@ -3,8 +3,7 @@
 `LevelDivError` is bad data (exit 2): unparseable levels, filters that do
 not fit, mismatched dimensions, empty inputs, bad cuts. `LevelIoError` is an
 unreadable file or directory (exit 3); being an `OSError`, it exits like any
-failed read or write. Bad arguments raise `ValueError` (exit 1). Both are
-built from their message alone, so they pickle back from a worker process.
+failed read or write. Bad arguments raise `ValueError` (exit 1).
 """
 
 

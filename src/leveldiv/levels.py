@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import LevelDivError, LevelIoError
 
@@ -114,6 +114,17 @@ class LevelSet:
 
     def __iter__(self) -> Iterator[tuple[str, TileGrid]]:
         return iter(self.levels)
+
+
+def _path_names(paths: Sequence[str], bases: Sequence[str], kind: str) -> list[str]:
+    """Each path's base name, or the path as given where base names collide.
+
+    Only a path given twice leaves two equal names, and that is an error.
+    """
+    names = [path if bases.count(base) > 1 else base for path, base in zip(paths, bases)]
+    if len(set(names)) != len(names):
+        raise LevelDivError(f"duplicate {kind} names: {sorted(names)}")
+    return names
 
 
 def decode_level(data: bytes, source: str) -> TileGrid:

@@ -2,8 +2,6 @@ import csv
 import io
 import json
 import math
-import os
-import pickle
 import random
 
 import pytest
@@ -32,7 +30,6 @@ from leveldiv import (
     serialize_level,
 )
 from leveldiv.evolve import random_init
-from leveldiv.patterns import level_distributions
 from conftest import filled
 from oracles import (
     mp_kl,
@@ -76,15 +73,6 @@ def test_pairwise_matrix_entries_are_weighted_divergences():
                 dists[j], dists[i], 1e-5
             )
             assert matrix.values[i][j] == expected
-
-
-def test_pairwise_matrix_parallel_matches_serial():
-    levels = load_smb_corpus()
-    config = DivergenceConfig(dims=FilterDims(2, 2))
-    serial = pairwise_matrix(levels, config, jobs=1)
-    parallel = pairwise_matrix(levels, config, jobs=4)
-    assert serial.values == parallel.values
-    assert serial.names == parallel.names
 
 
 def test_pairwise_matrix_needs_two_levels():
@@ -291,7 +279,6 @@ def test_compare_sets_singleton_matches_direct_fitness(tmp_path):
     _write_levels(tmp_path / "gen", [("only", generated)])
     dims = FilterDims(2, 2)
     table = compare_sets(training, [tmp_path / "gen"], [dims], [0.3])
-    from leveldiv import merge_distributions
 
     p_dist = merge_distributions(
         [extract_distribution(g, dims) for g in training.grids]
@@ -314,7 +301,6 @@ def test_compare_sets_mean_and_std(tmp_path):
     _write_levels(tmp_path / "gen", [("one", g1), ("two", g2)])
     dims = FilterDims(2, 2)
     table = compare_sets(training, [tmp_path / "gen"], [dims], [0.5])
-    from leveldiv import merge_distributions
 
     p_dist = merge_distributions(
         [extract_distribution(g, dims) for g in training.grids]
@@ -378,47 +364,6 @@ def test_compare_sets_column_grid(tmp_path):
     ]
 
 
-def test_compare_sets_parallel_matches_serial(tmp_path):
-    training = _grid_set()
-    for i in range(3):
-        _write_levels(
-            tmp_path / f"gen{i}",
-            [("only", TileGrid(("abba", "baab", "abba")))],
-        )
-    dirs = [tmp_path / f"gen{i}" for i in range(3)]
-    serial = compare_sets(training, dirs, [FilterDims(2, 2)], [0.5], jobs=1)
-    parallel = compare_sets(training, dirs, [FilterDims(2, 2)], [0.5], jobs=3)
-    assert serial.cells == parallel.cells
-    assert serial.rows == parallel.rows
-
-
-def test_parallel_runs_pickle_shared_data_once_per_worker(tmp_path, monkeypatch, in_process_pool):
-    # The corpus goes to each worker once, not inside each of its row tasks.
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    levels = load_smb_corpus()
-    config = DivergenceConfig(dims=FilterDims(4, 4))
-    corpus_bytes = len(pickle.dumps(list(level_distributions(levels, config.dims))))
-    assert pairwise_matrix(levels, config, jobs=8) == pairwise_matrix(levels, config)
-    assert in_process_pool.started == [4]
-    assert in_process_pool.pickled < 5 * corpus_bytes
-
-    # The training distributions go to each worker once, not once per directory.
-    in_process_pool.pickled = 0
-    training = levels
-    dirs = []
-    for i in range(6):
-        _write_levels(tmp_path / f"gen{i}", [("only", TileGrid(("abba", "baab", "abba")))])
-        dirs.append(tmp_path / f"gen{i}")
-    filters = [FilterDims(1, 1), FilterDims(2, 2)]
-    training_bytes = len(pickle.dumps({
-        dims: merge_distributions(level_distributions(training, dims)) for dims in filters
-    }))
-    parallel = compare_sets(training, dirs, filters, [0.5], jobs=6)
-    assert parallel == compare_sets(training, dirs, filters, [0.5])
-    assert in_process_pool.started == [4, 4]
-    assert in_process_pool.pickled < 5 * training_bytes
-
-
 def test_compare_sets_argument_validation(tmp_path):
     training = _grid_set()
     with pytest.raises(LevelDivError, match="no generated-level directories given"):
@@ -432,6 +377,11 @@ def test_compare_sets_argument_validation(tmp_path):
         compare_sets(training, [tmp_path / "gen"], [FilterDims(2, 2)], [1.5])
     with pytest.raises(ValueError):
         compare_sets(training, [tmp_path / "gen"], [FilterDims(2, 2)], [0.5], epsilon=2.0)
+    # two columns with one header name, whether equal or equal at :g precision
+    with pytest.raises(ValueError, match="duplicate compare column 2x2_0.5"):
+        compare_sets(training, [tmp_path / "gen"], [FilterDims(2, 2)] * 2, [0.5])
+    with pytest.raises(ValueError, match="duplicate compare column 2x2_0.5"):
+        compare_sets(training, [tmp_path / "gen"], [FilterDims(2, 2)], [0.5, 0.5000001])
 
 
 def test_pairwise_matrix_identical_levels_are_zero():

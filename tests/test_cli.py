@@ -202,16 +202,6 @@ def test_cluster_cut_and_artifacts(capsys, tmp_path):
     assert matrix_path.read_text().startswith("level,")
 
 
-def test_cluster_jobs_capped_by_level_count(capsys, in_process_pool):
-    paths = [str(smb_level_path(n)) for n in ("mario-1-1", "mario-1-2")]
-    code, parallel, _ = _run(capsys, "cluster", *paths, "--filter", "2x2", "--jobs", "64")
-    assert code == 0
-    assert all(workers <= 2 for workers in in_process_pool.started)
-    code, serial, _ = _run(capsys, "cluster", *paths, "--filter", "2x2")
-    assert code == 0
-    assert parallel == serial
-
-
 def test_cli_import_leaves_out_multiprocessing():
     src = str(Path(leveldiv.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -290,17 +280,36 @@ def test_compare_unreadable_file_is_io_error(capsys, tmp_path, monkeypatch):
     assert out == ""
 
 
-def test_compare_jobs_io_error_from_real_pool(capsys, tmp_path, monkeypatch):
+def test_compare_unreadable_directory_is_io_error(capsys, tmp_path):
     gen = tmp_path / "gen"
     gen.mkdir()
     (gen / "a.txt").write_text("ab\nba\n")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any host
     training = str(smb_level_path("mario-1-1"))
-    code, out, err = _run(capsys, "compare", str(gen), str(tmp_path / "missing"),
-                          "--training", training, "--filters", "1x1", "--jobs", "2")
-    assert code == 3
-    assert "leveldiv: i/o error: cannot read level file" in err
-    assert "missing" in err
+    # a path that does not exist, and a regular file given as a directory
+    for directory in (tmp_path / "missing", gen / "a.txt"):
+        code, out, err = _run(capsys, "compare", str(gen), str(directory),
+                              "--training", training, "--filters", "1x1")
+        assert code == 3
+        assert f"leveldiv: i/o error: cannot read level directory {directory}: " in err
+        assert out == ""
+
+
+def test_compare_names_rows_by_path_where_basenames_collide(capsys, tmp_path):
+    for folder, source in (("a", "mario-1-1"), ("b", "mario-1-2")):
+        (tmp_path / folder / "gen").mkdir(parents=True)
+        (tmp_path / folder / "gen" / "x.txt").write_bytes(smb_level_path(source).read_bytes())
+    first, second = str(tmp_path / "a" / "gen"), str(tmp_path / "b" / "gen")
+    training = str(smb_level_path("mario-1-1"))
+    code, out, _ = _run(capsys, "compare", first, second, "--training", training,
+                        "--filters", "2x2")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[0] for row in rows] == ["generator", first, second]
+    assert float(rows[1][1]) == 0.0 < float(rows[2][1])
+    code, out, err = _run(capsys, "compare", first, first, "--training", training,
+                          "--filters", "2x2")
+    assert code == 2
+    assert "duplicate directory names" in err
     assert out == ""
 
 
@@ -329,6 +338,17 @@ def test_exit_code_usage_errors(capsys):
     assert _run(capsys, "evolve", path, "--epsilon", "0")[0] == 1
     for rate in ("nan", "inf"):
         assert _run(capsys, "evolve", path, "--mutation", "flip", "--flip-rate", rate)[0] == 1
+    # an epsilon that passes the range check but makes P' of an unseen pattern 0
+    for argv in (("analyze", path, path), ("evolve", path, "--seed", "0", "--budget", "10")):
+        code, _, err = _run(capsys, *argv, "--epsilon", "5e-324")
+        assert code == 1
+        assert "leveldiv: error: epsilon 5e-324 is too small" in err
+    # two compare columns with one header name
+    code, out, err = _run(capsys, "compare", str(Path(path).parent), "--training", path,
+                          "--filters", "2x2", "--weights", "0.5", "--weights", "0.5000001")
+    assert code == 1
+    assert "leveldiv: error: duplicate compare column 2x2_0.5" in err
+    assert out == ""
 
 
 def test_exit_code_data_errors(capsys, tmp_path, monkeypatch):

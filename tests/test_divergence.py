@@ -157,6 +157,11 @@ def test_kl_errors():
         kl_div(empty, p, 1e-5)
     with pytest.raises(ValueError):
         kl_div(p, p, 0.0)
+    # P' of an unseen pattern, eps / ((C + eps)(1 + eps)), underflows to 0
+    p4 = _dist(["abc", "bca", "cab"])
+    with pytest.raises(ValueError, match="epsilon 5e-324 is too small for a window total of 4"):
+        kl_div(p4, p4, 5e-324)
+    assert kl_div(p4, _dist(["aaa", "aaa", "aaa"]), 1e-320) > 0.0
 
 
 def test_fitness_composition_and_directions():

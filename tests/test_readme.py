@@ -1,7 +1,10 @@
 """The README's Library example runs as written against the package."""
 
+import argparse
 import re
 from pathlib import Path
+
+from leveldiv.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +18,17 @@ def test_readme_library_example_runs(capsys):
     assert len(lines) == 15
     assert all(len(row) == 30 for row in lines[:14])
     assert float(lines[14]) <= 0.0
+
+
+def test_readme_command_line_flags_exist():
+    # The install section's pip flags lie outside this section.
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = set(parser._option_string_actions)
+    for sub in commands.choices.values():
+        accepted.update(sub._option_string_actions)
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert documented, "no flags found in the Command line section"
+    assert sorted(documented - accepted) == []
