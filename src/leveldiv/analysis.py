@@ -326,7 +326,7 @@ def compare_sets(
         if names.count(name) > 1:
             raise ValueError(f"duplicate compare column {name}")
     paths = [os.fspath(directory) for directory in generated_dirs]
-    rows = _path_names(paths, [Path(path).name for path in paths], "directory")
+    rows = _path_names(paths, [os.path.basename(os.path.abspath(p)) for p in paths], "directory")
     training_dists = {
         dims: merge_distributions(level_distributions(training, dims))
         for dims in filters

@@ -14,7 +14,6 @@ import csv
 # argparse imports locale (through gettext) whenever it builds a parser, so
 # every command needs it: importing it here keeps that fixed cost in start-up.
 import locale  # noqa: F401
-import math
 import secrets
 import sys
 from contextlib import contextmanager
@@ -55,31 +54,10 @@ def _dims_arg(text: str) -> FilterDims:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _epsilon_arg(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"epsilon must be in (0, 1], got {text}")
-    return value
-
-
-def _weight_arg(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"weight must be in [0, 1], got {text}")
-    return value
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
     return value
 
 
@@ -127,35 +105,35 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    config = _divergence_config(args)
     levels = ((path, _read_level(path)) for path in (args.p_level, args.q_level))
     p_dist, q_dist = level_distributions(levels, args.filter)
-    result = fitness(p_dist, q_dist, _divergence_config(args))
+    result = fitness(p_dist, q_dist, config)
     with _open_out(args.out) as stream:
         print(f"kl_p_q: {result.kl_p_q!r}", file=stream)
         print(f"kl_q_p: {result.kl_q_p!r}", file=stream)
         print(f"fitness: {result.fitness!r}", file=stream)
     if args.contributions is not None:
-        report = contributions(p_dist, q_dist, args.epsilon)
+        report = contributions(p_dist, q_dist, config.epsilon)
         with _open_out(args.contributions) as stream:
             write_contributions_csv(report, stream, top=args.top)
     return 0
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    training = _read_level_set(args.levels)
     seed = args.seed if args.seed is not None else secrets.randbits(64)
-    print(f"seed: {seed}", file=sys.stderr)
-    mutation = Flip(rate=args.flip_rate) if args.mutation == "flip" else Conv()
+    flip = Flip(rate=args.flip_rate)  # built under conv too, so a bad rate is always an error
     config = EvolutionConfig(
         divergence=_divergence_config(args),
         target_width=args.width,
         target_height=args.height,
         budget=args.budget,
-        mutation=mutation,
+        mutation=flip if args.mutation == "flip" else Conv(),
         seed=seed,
-        accept_equal=args.accept_equal,
     )
-    result = hill_climb(training, config)
+    result = hill_climb(_read_level_set(args.levels), config)
+    # Printed once the climb has run, so a rejected command line prints only its error.
+    print(f"seed: {seed}", file=sys.stderr)
     _note(args, f"final fitness {result.best_fitness!r} after {result.elapsed:.2f}s")
     with _open_out(args.out) as stream:
         stream.write(serialize_level(result.best) + "\n")
@@ -172,8 +150,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
+    config = _divergence_config(args)
     levels = _read_level_set(args.levels)
-    matrix = pairwise_matrix(levels, _divergence_config(args))
+    matrix = pairwise_matrix(levels, config)
     dendrogram = average_linkage(matrix)
     if args.matrix_out is not None:
         with _open_out(args.matrix_out) as stream:
@@ -211,8 +190,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_snippets(args: argparse.Namespace) -> int:
-    training = _read_level_set(args.levels)
-    rows = snippet_fitness(training, args.width, _divergence_config(args))
+    config = _divergence_config(args)
+    rows = snippet_fitness(_read_level_set(args.levels), args.width, config)
     _note(args, f"{len(rows)} snippets of width {args.width}")
     with _open_out(args.out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
@@ -232,24 +211,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def common(p: _Parser, *, filtered: bool = True, weighted: bool = True) -> None:
-        p.add_argument("--epsilon", type=_epsilon_arg, default=1e-5,
-                       help="smoothing constant (default 1e-5)")
-        if filtered:
+    def common(p: _Parser, *flags: str) -> None:
+        if "epsilon" in flags:
+            p.add_argument("--epsilon", type=float, default=1e-5,
+                           help="smoothing constant (default 1e-5)")
+        if "filter" in flags:
             p.add_argument("--filter", type=_dims_arg, default=FilterDims(4, 4),
                            metavar="WxH", help="filter size (default 4x4)")
-        if weighted:
-            p.add_argument("--weight", type=_weight_arg, default=0.5,
+        if "weight" in flags:
+            p.add_argument("--weight", type=float, default=0.5,
                            help="asymmetry weight w in [0, 1] (default 0.5)")
         p.add_argument("--out", metavar="PATH",
                        help="write primary output here instead of stdout")
-        p.add_argument("-v", "--verbose", action="count", default=0,
-                       help="progress notes on stderr")
+        if "verbose" in flags:
+            p.add_argument("-v", "--verbose", action="count", default=0,
+                           help="progress notes on stderr")
 
     p = sub.add_parser("patterns", help="pattern frequency CSV for levels")
     p.add_argument("levels", nargs="+", metavar="LEVEL",
                    help="level file ('-' reads stdin); several are merged")
-    common(p, weighted=False)
+    common(p, "filter", "verbose")
     p.set_defaults(func=_cmd_patterns)
 
     p = sub.add_parser("analyze", help="divergence report between two levels")
@@ -259,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write per-pattern contributions of kl_p_q as CSV")
     p.add_argument("--top", type=_positive_int,
                    help="keep only the largest N contributions")
-    common(p)
+    common(p, "epsilon", "filter", "weight")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("evolve", help="hill-climb a level against training data")
     p.add_argument("levels", nargs="+", metavar="TRAINING",
                    help="training level file(s), '-' reads stdin")
-    p.add_argument("--budget", type=_positive_int, default=10_000,
+    p.add_argument("--budget", type=int, default=10_000,
                    help="fitness evaluations (default 10000)")
     p.add_argument("--width", type=_positive_int, default=30,
                    help="target level width (default 30)")
@@ -273,15 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target level height (default: training height)")
     p.add_argument("--mutation", choices=("flip", "conv"), default="conv",
                    help="mutation operator (default conv)")
-    p.add_argument("--flip-rate", type=_positive_float, default=3.0,
+    p.add_argument("--flip-rate", type=float, default=3.0,
                    help="expected tile flips per application (default 3)")
     p.add_argument("--seed", type=int,
                    help="RNG seed; drawn from system entropy when omitted")
-    p.add_argument("--accept-equal", action=argparse.BooleanOptionalAction,
-                   default=True, help="accept equal-fitness children (default on)")
     p.add_argument("--trace", metavar="PATH",
                    help="write the per-evaluation fitness trace as CSV")
-    common(p)
+    common(p, "epsilon", "filter", "weight", "verbose")
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("cluster", help="pairwise matrix and average-linkage tree")
@@ -293,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the merge tree as JSON here")
     p.add_argument("--newick-out", metavar="PATH",
                    help="write the merge tree in Newick format here")
-    common(p)
+    common(p, "epsilon", "filter", "weight")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("compare", help="mean divergence of generated sets vs training")
@@ -303,16 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training level file; repeat to merge several")
     p.add_argument("--filters", action="append", type=_dims_arg, metavar="WxH",
                    help="filter size; repeatable (default 4x4)")
-    p.add_argument("--weights", action="append", type=_weight_arg, metavar="W",
+    p.add_argument("--weights", action="append", type=float, metavar="W",
                    help="asymmetry weight; repeatable (default 0.5)")
-    common(p, filtered=False, weighted=False)
+    common(p, "epsilon")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("snippets", help="fitness of training-level snippets")
     p.add_argument("levels", nargs="+", metavar="TRAINING", help="training level file(s)")
     p.add_argument("--width", type=_positive_int, default=30,
                    help="snippet width in tiles (default 30)")
-    common(p)
+    common(p, "epsilon", "filter", "weight", "verbose")
     p.set_defaults(func=_cmd_snippets)
 
     return parser

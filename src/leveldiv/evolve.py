@@ -32,7 +32,6 @@ from .patterns import (
     extract_distribution,
     level_distributions,
     merge_distributions,
-    window_count,
 )
 
 
@@ -91,7 +90,6 @@ class Conv:
         destination y, each uniform via rng.randrange().
         """
         width, height = len(rows[0]), len(rows)
-        window_count(width, height, dims)
         source = training.levels[rng.randrange(len(training.levels))][1]
         sx = rng.randrange(1 + source.width - dims.width)
         sy = rng.randrange(1 + source.height - dims.height)
@@ -120,20 +118,10 @@ class EvolutionConfig:
     budget: int = 10_000
     mutation: MutationKind = Conv()
     seed: int = 0
-    accept_equal: bool = True
 
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        dims = self.divergence.dims
-        if self.target_width < dims.width:
-            raise LevelDivError(
-                f"target width {self.target_width} is narrower than the {dims} filter"
-            )
-        if self.target_height is not None and self.target_height < dims.height:
-            raise LevelDivError(
-                f"target height {self.target_height} is shorter than the {dims} filter"
-            )
 
 
 @dataclass(frozen=True)
@@ -312,7 +300,8 @@ def hill_climb(training: LevelSet, config: EvolutionConfig) -> EvolutionResult:
     The training distribution is merged once up front; the initial candidate's
     evaluation is logged at trace index 0 and does not count against the
     budget. Each child is priced by CandidateCounts.propose and committed only
-    when accepted, so a rejected child leaves nothing to undo.
+    when accepted, so a rejected child leaves nothing to undo. A training level
+    or a target grid smaller than the filter is a LevelDivError.
     """
     start = time.perf_counter()
     dims = config.divergence.dims
@@ -328,12 +317,9 @@ def hill_climb(training: LevelSet, config: EvolutionConfig) -> EvolutionResult:
     parent_fitness = state.fitness()
     trace = [parent_fitness]
     mutation = config.mutation
-    accept_equal = config.accept_equal
     for _ in range(config.budget):
         child = state.propose(mutation.edits(state.rows, training, dims, rng))
-        if child.fitness > parent_fitness or (
-            accept_equal and child.fitness == parent_fitness
-        ):
+        if child.fitness >= parent_fitness:
             state.commit(child)
             parent_fitness = child.fitness
         trace.append(child.fitness)

@@ -119,12 +119,14 @@ class LevelSet:
 def _path_names(paths: Sequence[str], bases: Sequence[str], kind: str) -> list[str]:
     """Each path's base name, or the path as given where base names collide.
 
-    Only a path given twice leaves two equal names, and that is an error.
+    Two paths to one file or directory (by os.path.realpath; "-" is stdin)
+    are an error naming both as given.
     """
-    names = [path if bases.count(base) > 1 else base for path, base in zip(paths, bases)]
-    if len(set(names)) != len(names):
-        raise LevelDivError(f"duplicate {kind} names: {sorted(names)}")
-    return names
+    real = [path if path == "-" else os.path.realpath(path) for path in paths]
+    clashes = [path for path, r in zip(paths, real) if real.count(r) > 1]
+    if clashes:
+        raise LevelDivError(f"duplicate {kind} names: {clashes}")
+    return [path if bases.count(base) > 1 else base for path, base in zip(paths, bases)]
 
 
 def decode_level(data: bytes, source: str) -> TileGrid:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import leveldiv
 from leveldiv import TileGrid, load_level, serialize_level, smb_level_path
-from leveldiv.cli import dispatch, main
+from leveldiv.cli import build_parser, dispatch, main
 
 
 def _run(capsys, *argv):
@@ -229,6 +230,12 @@ def test_cluster_names_levels_by_path_where_stems_collide(capsys, tmp_path):
     code, _, err = _run(capsys, "cluster", first, first, third, "--filter", "2x2")
     assert code == 2
     assert "duplicate level names" in err
+    # one file under two spellings
+    again = str(tmp_path / "a" / ".." / "a" / "x.txt")
+    code, out, err = _run(capsys, "cluster", first, again, third, "--filter", "2x2")
+    assert code == 2
+    assert f"duplicate level names: [{first!r}, {again!r}]" in err
+    assert out == ""
 
 
 def test_cluster_invalid_cut_is_data_error(capsys):
@@ -294,7 +301,7 @@ def test_compare_unreadable_directory_is_io_error(capsys, tmp_path):
         assert out == ""
 
 
-def test_compare_names_rows_by_path_where_basenames_collide(capsys, tmp_path):
+def test_compare_names_rows_by_path_where_basenames_collide(capsys, tmp_path, monkeypatch):
     for folder, source in (("a", "mario-1-1"), ("b", "mario-1-2")):
         (tmp_path / folder / "gen").mkdir(parents=True)
         (tmp_path / folder / "gen" / "x.txt").write_bytes(smb_level_path(source).read_bytes())
@@ -311,6 +318,19 @@ def test_compare_names_rows_by_path_where_basenames_collide(capsys, tmp_path):
     assert code == 2
     assert "duplicate directory names" in err
     assert out == ""
+    # one directory under two spellings
+    code, out, err = _run(capsys, "compare", first, first + os.sep, "--training", training,
+                          "--filters", "2x2")
+    assert code == 2
+    assert f"duplicate directory names: [{first!r}, {first + os.sep!r}]" in err
+    assert out == ""
+    # "." is named by the directory it stands for, in the row and in the warning
+    (tmp_path / "a" / "gen" / "bad.txt").write_text("ab\nabc\n")
+    monkeypatch.chdir(first)
+    code, out, err = _run(capsys, "compare", ".", "--training", training, "--filters", "2x2")
+    assert code == 0
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == ["generator", "gen"]
+    assert "warning: skipped 1 unusable file(s) in gen" in err
 
 
 def test_compare_requires_training(capsys, tmp_path):
@@ -338,6 +358,13 @@ def test_exit_code_usage_errors(capsys):
     assert _run(capsys, "evolve", path, "--epsilon", "0")[0] == 1
     for rate in ("nan", "inf"):
         assert _run(capsys, "evolve", path, "--mutation", "flip", "--flip-rate", rate)[0] == 1
+    assert _run(capsys, "evolve", path, "--mutation", "conv", "--flip-rate", "nan")[0] == 1
+    directory = str(Path(path).parent)
+    assert _run(capsys, "compare", directory, "--training", path, "--epsilon", "0")[0] == 1
+    assert _run(capsys, "compare", directory, "--training", path, "--weights", "1.5")[0] == 1
+    # flags that no command reads are not accepted
+    assert _run(capsys, "patterns", path, "--epsilon", "1e-5")[0] == 1
+    assert _run(capsys, "evolve", path, "--no-accept-equal")[0] == 1
     # an epsilon that passes the range check but makes P' of an unseen pattern 0
     for argv in (("analyze", path, path), ("evolve", path, "--seed", "0", "--budget", "10")):
         code, _, err = _run(capsys, *argv, "--epsilon", "5e-324")
@@ -349,6 +376,78 @@ def test_exit_code_usage_errors(capsys):
     assert code == 1
     assert "leveldiv: error: duplicate compare column 2x2_0.5" in err
     assert out == ""
+
+
+def test_bad_values_are_reported_before_levels_are_read(capsys, tmp_path):
+    path, other = (str(smb_level_path(name)) for name in ("mario-1-1", "mario-1-2"))
+    missing = str(tmp_path / "missing.txt")
+    usage = [
+        (("evolve", path), ("--epsilon", "0")),
+        (("evolve", path), ("--epsilon", "nan")),
+        (("evolve", path), ("--weight", "1.5")),
+        (("evolve", path), ("--mutation", "flip", "--flip-rate", "nan")),
+        (("evolve", path), ("--mutation", "conv", "--flip-rate", "-1")),
+        (("analyze", path), ("--epsilon", "2")),
+        (("cluster", path), ("--epsilon", "0")),
+        (("snippets", path), ("--weight", "7")),
+    ]
+    for levels, flags in usage:
+        # the second run's missing level is never read
+        for args in ((*levels, other, *flags), (*levels, missing, *flags)):
+            code, out, err = _run(capsys, *args)
+            assert (code, out) == (1, ""), args
+            assert err.startswith("leveldiv: error: "), args
+    # a target smaller than the filter is found by the climb, before any seed is printed
+    for flags in (("--width", "3"), ("--height", "3"), ("--filter", "2x2", "--width", "1")):
+        code, out, err = _run(capsys, "evolve", path, *flags)
+        assert (code, out) == (2, ""), flags
+        assert err.startswith("leveldiv: error: filter "), flags
+        assert "does not fit" in err
+
+
+def test_every_parsed_flag_is_read(capsys, tmp_path):
+    """Each command reads every value its parser accepts, so no flag is dead."""
+    level, other = (str(smb_level_path(name)) for name in ("mario-1-1", "mario-1-2"))
+    generated = tmp_path / "gen"
+    generated.mkdir()
+    (generated / "a.txt").write_bytes(smb_level_path("mario-1-3").read_bytes())
+    out = str(tmp_path / "out")
+    positionals = {
+        "patterns": [level], "analyze": [level, other], "evolve": [level],
+        "cluster": [level, other], "compare": [str(generated)], "snippets": [level],
+    }
+    # A valid value per destination; flags that take no value are given bare.
+    values = {
+        "epsilon": "1e-5", "filter": "2x2", "filters": "2x2", "weight": "0.5",
+        "weights": "0.5", "out": out, "contributions": out, "top": "3", "budget": "5",
+        "width": "8", "height": "6", "mutation": "flip", "flip_rate": "2", "seed": "1",
+        "trace": out, "cut": "2", "matrix_out": out, "dendrogram_out": out,
+        "newick_out": out, "training": level,
+    }
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(positionals) == set(commands.choices)
+    for name, command in commands.choices.items():
+        actions = [a for a in command._actions if a.dest != "help"]
+        argv = [name, *positionals[name]]
+        for action in actions:
+            if action.option_strings:
+                argv.append(action.option_strings[0])
+                if action.nargs != 0:
+                    argv.append(values[action.dest])
+        args = parser.parse_args(argv, namespace=Recorder())
+        func = args.func
+        reads.clear()
+        assert func(args) == 0, argv
+        assert sorted({a.dest for a in actions} - reads) == [], argv
+    capsys.readouterr()
 
 
 def test_exit_code_data_errors(capsys, tmp_path, monkeypatch):
