@@ -29,8 +29,7 @@ class DivergenceConfig:
     weight: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"weight must be in [0, 1], got {self.weight}")
 
@@ -50,6 +49,12 @@ class ContributionEntry:
     p_prime: float
     q_prime: float
     summand: float
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """The one rule for the smoothing constant: 0 < epsilon <= 1, so not nan or inf."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
 
 
 def smoothed_prob(count: int, total: int, epsilon: float) -> float:
@@ -84,8 +89,7 @@ def _sides(p: PatternDistribution, q: PatternDistribution, epsilon: float) -> tu
         raise LevelDivError(f"cannot compare {p.dims} against {q.dims} patterns")
     if not p.counts:
         raise LevelDivError("first distribution has no patterns")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _check_epsilon(epsilon)
     p_smoothed = {c: _smoothed(c, p.total, epsilon) for c in set(p.counts.values())}
     q_smoothed = {c: _smoothed(c, q.total, epsilon) for c in {0, *q.counts.values()}}
     q_counts = map(q.counts.get, p.counts, repeat(0))

@@ -236,8 +236,10 @@ class CandidateCounts:
         """The child made by `edits`, applied in order to a copy of the rows; only
         the windows overlapping an edit are keyed, before and after it."""
         rows = self.rows.copy()
-        delta: Counter[str] = Counter()
-        fw, fh = self.config.dims.width, self.config.dims.height
+        removed: Counter[str] = Counter()
+        added: Counter[str] = Counter()
+        dims = self.config.dims
+        fw, fh = dims.width, dims.height
         for edit in edits:
             x, y = edit.x, edit.y
             ew, eh = len(edit.rows[0]), len(edit.rows)
@@ -246,14 +248,16 @@ class CandidateCounts:
                     f"edit {ew}x{eh}@({x},{y}) outside {self.width}x{self.height} grid"
                 )
             xs = range(max(0, x - fw + 1), min(self.width - fw, x + ew - 1) + 1)
-            ys = range(max(0, y - fh + 1), min(self.height - fh, y + eh - 1) + 1)
-            before = [rows[wy : wy + fh] for wy in ys]
+            top, bottom = max(0, y - fh + 1), min(self.height, y + eh + fh - 1)
+            removed.update(_window_keys(rows[top:bottom], xs, dims))
             for i, patch_row in enumerate(edit.rows):
                 row = rows[y + i]
                 rows[y + i] = row[:x] + patch_row + row[x + ew :]
-            delta.subtract(_window_keys(before, xs, fw))
-            delta.update(_window_keys([rows[wy : wy + fh] for wy in ys], xs, fw))
-        return self._child(rows, delta)
+            added.update(_window_keys(rows[top:bottom], xs, dims))
+        # Each edit's windows are counted out before it and in after it, so over
+        # all the edits the net change telescopes to added minus removed.
+        added.subtract(removed)
+        return self._child(rows, added)
 
     def _child(self, rows: list[str], delta: dict[str, int]) -> Child:
         """The child with these rows, whose counts differ from the state's by `delta`."""
@@ -349,17 +353,15 @@ def snippet_fitness(
                 f"snippet width {snippet_width} exceeds level {name} "
                 f"width {grid.width}"
             )
-    fw, fh = dims.width, dims.height
     results = []
     for _, grid in training:
         state = CandidateCounts(grid.crop(0, 0, snippet_width, grid.height), p_dist, config)
         results.append((0, state.fitness()))
-        bands = [grid.rows[y : y + fh] for y in range(grid.height - fh + 1)]
         for offset in range(1, grid.width - snippet_width + 1):
-            # One step right: the column of windows at offset-1 leaves, and the
-            # one ending at the snippet's new right edge enters.
-            delta = Counter(_window_keys(bands, [offset + snippet_width - fw], fw))
-            delta.subtract(_window_keys(bands, [offset - 1], fw))
+            # One step right: the strip of windows at column offset-1 leaves,
+            # and the one ending at the snippet's new right edge enters.
+            delta = Counter(_window_keys(grid.rows, [offset + snippet_width - dims.width], dims))
+            delta.subtract(_window_keys(grid.rows, [offset - 1], dims))
             rows = [row[offset : offset + snippet_width] for row in grid.rows]
             child = state._child(rows, delta)
             state.commit(child)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import LevelDivError
@@ -87,17 +88,23 @@ class PatternDistribution:
         return len(self.counts)
 
 
-def _window_keys(bands: Iterable[Sequence[str]], xs: Iterable[int], fw: int) -> Iterator[str]:
-    """Row-major keys of the windows `fw` wide starting at columns `xs` of each
-    band of rows, band by band."""
-    return ("".join(row[x : x + fw] for row in band) for band in bands for x in xs)
+def _window_keys(rows: Sequence[str], xs: Iterable[int], dims: FilterDims) -> Iterator[str]:
+    """Row-major keys of the windows of `dims` at columns `xs` of `rows`, column by column.
+
+    Each column's strip joins the rows' slices [x, x + width), so the key of the
+    window at row y is the one slice strip[y * width : (y + height) * width].
+    """
+    fw, fh = dims.width, dims.height
+    spans = [slice(y * fw, (y + fh) * fw) for y in range(len(rows) - fh + 1)]
+    return chain.from_iterable(
+        map("".join([row[x : x + fw] for row in rows]).__getitem__, spans) for x in xs
+    )
 
 
 def extract_distribution(grid: TileGrid, dims: FilterDims) -> PatternDistribution:
     """Count every window of `dims` in `grid` (stride 1, windows fully inside)."""
     total = window_count(grid.width, grid.height, dims)
-    bands = [grid.rows[y : y + dims.height] for y in range(grid.height - dims.height + 1)]
-    counts = Counter(_window_keys(bands, range(grid.width - dims.width + 1), dims.width))
+    counts = Counter(_window_keys(grid.rows, range(grid.width - dims.width + 1), dims))
     return PatternDistribution(dims, counts, total)
 
 

@@ -155,8 +155,12 @@ def test_kl_errors():
     empty = PatternDistribution(FilterDims(2, 2), {}, 0)
     with pytest.raises(LevelDivError, match="first distribution has no patterns"):
         kl_div(empty, p, 1e-5)
-    with pytest.raises(ValueError):
-        kl_div(p, p, 0.0)
+    # The DivergenceConfig rule, (0, 1], holds for the bare epsilon too
+    for bad in (math.nan, math.inf, 5.0, 0.0, -1.0):
+        for measure in (kl_div, contributions):
+            message = re.escape(f"epsilon must be in (0, 1], got {bad}")
+            with pytest.raises(ValueError, match=message):
+                measure(p, p, bad)
     # P' of an unseen pattern, eps / ((C + eps)(1 + eps)), underflows to 0
     p4 = _dist(["abc", "bca", "cab"])
     with pytest.raises(ValueError, match="epsilon 5e-324 is too small for a window total of 4"):

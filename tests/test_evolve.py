@@ -226,6 +226,40 @@ def test_candidate_counts_propose_and_commit():
         assert state.fitness() == child.fitness
 
 
+def test_candidate_counts_propose_at_clamped_edges():
+    # Edits in each corner and along each edge of a 10x6 grid, where the keyed
+    # rows and columns are cut off by the border, then one child whose three
+    # edits overlap each other; every child is committed in turn.
+    rng = random.Random(19)
+    training = _training_set()
+    width, height = 10, 6
+
+    def patch(ew, eh):
+        return tuple("".join(rng.choice(training.symbols) for _ in range(ew)) for _ in range(eh))
+
+    for dims in (FilterDims(3, 2), FilterDims(1, 4)):
+        config = DivergenceConfig(dims=dims)
+        p_dist = extract_distribution(training.grids[0], dims)
+        state = CandidateCounts(random_init(training.symbols, width, height, rng), p_dist, config)
+        children = []
+        for ew, eh in ((1, 1), (2, 3), (4, 2)):
+            for x in (0, (width - ew) // 2, width - ew):
+                for y in (0, (height - eh) // 2, height - eh):
+                    if (x, y) != ((width - ew) // 2, (height - eh) // 2):
+                        children.append([GridEdit(x, y, patch(ew, eh))])
+        children.append([
+            GridEdit(width - 4, 0, patch(4, 3)),
+            GridEdit(width - 3, 1, patch(3, 3)),
+            GridEdit(width - 5, 2, patch(3, 2)),
+        ])
+        for edits in children:
+            child = state.propose(edits)
+            child_grid = TileGrid(tuple(child.rows))
+            assert child.fitness.hex() == _scratch(p_dist, child_grid, config).hex()
+            state.commit(child)
+            assert state.counts == extract_distribution(child_grid, dims).counts
+
+
 def test_candidate_counts_rejects_out_of_bounds_edit():
     state = _state(filled("a", 4, 4), _training_set(), FilterDims(2, 2))
     with pytest.raises(ValueError):

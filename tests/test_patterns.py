@@ -64,10 +64,9 @@ def test_extract_matches_naive_oracle():
     for _ in range(120):
         rows = random_rows(rng, max_side=10, max_symbols=3)
         grid = TileGrid(tuple(rows))
-        for fw in range(1, 4):
-            for fh in range(1, 4):
-                if fw > grid.width or fh > grid.height:
-                    continue
+        # every filter that fits, up to the whole grid
+        for fw in range(1, grid.width + 1):
+            for fh in range(1, grid.height + 1):
                 dims = FilterDims(fw, fh)
                 dist = extract_distribution(grid, dims)
                 expected = naive_window_counts(rows, fw, fh)
