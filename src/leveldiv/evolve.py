@@ -2,10 +2,11 @@
 
 A single candidate grid is mutated, evaluated against the merged training
 distribution, and replaced by its child whenever the child's fitness is no
-worse. A child is priced from the windows its edits overlap: their net count
-changes move two exact integer sums of KL summands, and the child is committed
-only if accepted. The resulting fitness is bit-identical to a from-scratch
-recomputation because both are correctly rounded sums of the same terms.
+worse. A child is priced from the windows overlapping the cells it changes:
+their net count changes move two exact integer sums of KL summands, and the
+child is committed only if accepted. The resulting fitness is bit-identical to
+a from-scratch recomputation because both are correctly rounded sums of the
+same terms.
 Training snippets are scored the same way, sliding one column at a time.
 
 Randomness comes from `random.Random` (Mersenne Twister); a fixed seed
@@ -234,23 +235,36 @@ class CandidateCounts:
 
     def propose(self, edits: Iterable[GridEdit]) -> Child:
         """The child made by `edits`, applied in order to a copy of the rows; only
-        the windows overlapping an edit are keyed, before and after it."""
+        the windows overlapping the cells an edit changes are keyed, before and
+        after it. An edit that changes no cell is skipped."""
         rows = self.rows.copy()
         removed: Counter[str] = Counter()
         added: Counter[str] = Counter()
         dims = self.config.dims
         fw, fh = dims.width, dims.height
         for edit in edits:
-            x, y = edit.x, edit.y
-            ew, eh = len(edit.rows[0]), len(edit.rows)
+            x, y, patch = edit.x, edit.y, edit.rows
+            ew, eh = len(patch[0]), len(patch)
             if x < 0 or y < 0 or x + ew > self.width or y + eh > self.height:
                 raise ValueError(
                     f"edit {ew}x{eh}@({x},{y}) outside {self.width}x{self.height} grid"
                 )
+            if ew * eh > 1:
+                # Shrink the edit to the box of the cells it changes: a window
+                # clear of them has one key before and after, which cancel. A
+                # 1x1 edit skips this, as each one from Flip changes its cell.
+                old = [row[x : x + ew] for row in rows[y : y + eh]]
+                changed = [i for i in range(eh) if old[i] != patch[i]]
+                if not changed:
+                    continue
+                cols = [j for i in changed for j in range(ew) if old[i][j] != patch[i][j]]
+                i0, i1, j0, j1 = changed[0], changed[-1] + 1, min(cols), max(cols) + 1
+                x, y, ew, eh = x + j0, y + i0, j1 - j0, i1 - i0
+                patch = [patch_row[j0:j1] for patch_row in patch[i0:i1]]
             xs = range(max(0, x - fw + 1), min(self.width - fw, x + ew - 1) + 1)
             top, bottom = max(0, y - fh + 1), min(self.height, y + eh + fh - 1)
             removed.update(_window_keys(rows[top:bottom], xs, dims))
-            for i, patch_row in enumerate(edit.rows):
+            for i, patch_row in enumerate(patch):
                 row = rows[y + i]
                 rows[y + i] = row[:x] + patch_row + row[x + ew :]
             added.update(_window_keys(rows[top:bottom], xs, dims))

@@ -226,38 +226,90 @@ def test_candidate_counts_propose_and_commit():
         assert state.fitness() == child.fitness
 
 
+def _applied(rows, edits):
+    """`rows` with `edits` pasted in order, cell by cell."""
+    rows = list(rows)
+    for edit in edits:
+        for i, patch_row in enumerate(edit.rows):
+            row = rows[edit.y + i]
+            rows[edit.y + i] = row[: edit.x] + patch_row + row[edit.x + len(patch_row) :]
+    return rows
+
+
+def _with_cell(rows, i, j, symbols):
+    """`rows` with cell (j, i) set to the first of `symbols` that differs from it."""
+    rows = list(rows)
+    symbol = next(s for s in symbols if s != rows[i][j])
+    rows[i] = rows[i][:j] + symbol + rows[i][j + 1 :]
+    return tuple(rows)
+
+
 def test_candidate_counts_propose_at_clamped_edges():
     # Edits in each corner and along each edge of a 10x6 grid, where the keyed
     # rows and columns are cut off by the border, then one child whose three
-    # edits overlap each other; every child is committed in turn.
+    # edits overlap each other; every child is committed in turn. Besides a
+    # random patch, each spot gets a patch equal to the cells under it (which
+    # changes nothing) and one that changes only its middle cell.
     rng = random.Random(19)
     training = _training_set()
     width, height = 10, 6
 
+    # Each spot is (x, y, make), where make(rows, x, y) gives the patch rows.
     def patch(ew, eh):
-        return tuple("".join(rng.choice(training.symbols) for _ in range(ew)) for _ in range(eh))
+        cells = tuple("".join(rng.choice(training.symbols) for _ in range(ew)) for _ in range(eh))
+        return lambda rows, x, y: cells
+
+    def current(ew, eh, change):
+        def make(rows, x, y):
+            cells = tuple(row[x : x + ew] for row in rows[y : y + eh])
+            return _with_cell(cells, eh // 2, ew // 2, training.symbols) if change else cells
+        return make
 
     for dims in (FilterDims(3, 2), FilterDims(1, 4)):
         config = DivergenceConfig(dims=dims)
         p_dist = extract_distribution(training.grids[0], dims)
         state = CandidateCounts(random_init(training.symbols, width, height, rng), p_dist, config)
         children = []
-        for ew, eh in ((1, 1), (2, 3), (4, 2)):
+        for ew, eh in ((1, 1), (2, 3), (4, 2), (3, 3)):
             for x in (0, (width - ew) // 2, width - ew):
                 for y in (0, (height - eh) // 2, height - eh):
                     if (x, y) != ((width - ew) // 2, (height - eh) // 2):
-                        children.append([GridEdit(x, y, patch(ew, eh))])
+                        children.append([(x, y, patch(ew, eh))])
+                        if ew * eh > 1:
+                            children.append([(x, y, current(ew, eh, False))])
+                            children.append([(x, y, current(ew, eh, True))])
         children.append([
-            GridEdit(width - 4, 0, patch(4, 3)),
-            GridEdit(width - 3, 1, patch(3, 3)),
-            GridEdit(width - 5, 2, patch(3, 2)),
+            (width - 4, 0, patch(4, 3)),
+            (width - 3, 1, patch(3, 3)),
+            (width - 5, 2, patch(3, 2)),
         ])
-        for edits in children:
+        for spots in children:
+            edits = [GridEdit(x, y, make(state.rows, x, y)) for x, y, make in spots]
             child = state.propose(edits)
+            assert child.rows == _applied(state.rows, edits)
             child_grid = TileGrid(tuple(child.rows))
             assert child.fitness.hex() == _scratch(p_dist, child_grid, config).hex()
             state.commit(child)
             assert state.counts == extract_distribution(child_grid, dims).counts
+
+
+def test_candidate_counts_propose_keys_only_windows_over_changed_cells(mario_1_1):
+    # A 4x4 edit rewrites a 7x7 block of 4x4 windows; one changed cell lies in
+    # only 4x4 of them, keyed once before the edit and once after.
+    dims = FilterDims(4, 4)
+    training = LevelSet.from_grids([("mario-1-1", mario_1_1)])
+    state = _state(random_init(training.symbols, 30, 14, random.Random(23)), training, dims)
+    x, y = 12, 5
+    cells = tuple(row[x : x + 4] for row in state.rows[y : y + 4])
+    edits = [GridEdit(x, y, _with_cell(cells, 1, 2, training.symbols))]
+    one = state.propose(edits)
+    assert len(one.delta) <= 16 + 16
+    assert one.rows == _applied(state.rows, edits) != state.rows
+
+    same = state.propose([GridEdit(x, y, cells)])
+    assert not any(same.delta.values())
+    assert same.rows == state.rows
+    assert same.fitness == state.fitness()
 
 
 def test_candidate_counts_rejects_out_of_bounds_edit():
@@ -317,10 +369,18 @@ def _rows(draw, symbols, width, height):
 
 
 @st.composite
-def _edit(draw, symbols, width, height):
+def _edit(draw, symbols, rows):
+    """An edit of `rows`: random cells, or the cells it covers, maybe with one changed."""
+    width, height = len(rows[0]), len(rows)
     ew, eh = draw(st.integers(1, width)), draw(st.integers(1, height))
     x, y = draw(st.integers(0, width - ew)), draw(st.integers(0, height - eh))
-    return GridEdit(x, y, draw(_rows(symbols, ew, eh)))
+    if draw(st.booleans()):
+        return GridEdit(x, y, draw(_rows(symbols, ew, eh)))
+    cells = tuple(row[x : x + ew] for row in rows[y : y + eh])
+    if draw(st.booleans()):
+        cells = _with_cell(cells, draw(st.integers(0, eh - 1)), draw(st.integers(0, ew - 1)),
+                           symbols)
+    return GridEdit(x, y, cells)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -338,11 +398,12 @@ def test_incremental_fitness_equals_scratch_under_random_edits(data):
 
     p_dist = extract_distribution(grid(), dims)
     state = CandidateCounts(grid(), p_dist, config)
-    edit = _edit(symbols, state.width, state.height)
-    steps = data.draw(st.lists(st.tuples(st.lists(edit, max_size=3), st.booleans()),
-                               max_size=8))
-    for edits, accept in steps:
+    # Each step's edits are drawn against the rows committed so far.
+    for _ in range(data.draw(st.integers(0, 8))):
+        edits = data.draw(st.lists(_edit(symbols, state.rows), max_size=3))
+        accept = data.draw(st.booleans())
         child = state.propose(edits)
+        assert child.rows == _applied(state.rows, edits)
         assert child.fitness.hex() == _scratch(p_dist, TileGrid(tuple(child.rows)), config).hex()
         if accept:
             state.commit(child)

@@ -21,7 +21,9 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_readme_command_line_flags_exist():
-    # The install section's pip flags lie outside this section.
+    # Both ways: every flag the section names is accepted, and every accepted
+    # long flag but --help is named. The install section's pip flags lie
+    # outside this section.
     section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
     section = section.split("\n## ", 1)[0]
     parser = build_parser()
@@ -32,3 +34,5 @@ def test_readme_command_line_flags_exist():
     documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
     assert documented, "no flags found in the Command line section"
     assert sorted(documented - accepted) == []
+    long_flags = {flag for flag in accepted if flag.startswith("--")} - {"--help"}
+    assert sorted(long_flags - documented) == []
