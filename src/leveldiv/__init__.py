@@ -24,7 +24,6 @@ from .divergence import (
     contributions,
     fitness,
     kl_div,
-    write_contributions_csv,
 )
 from .errors import LevelDivError, LevelIoError
 from .evolve import (
@@ -49,7 +48,6 @@ from .patterns import (
     PatternDistribution,
     extract_distribution,
     merge_distributions,
-    write_frequency_csv,
 )
 
 __version__ = "0.1.0"
@@ -93,6 +91,4 @@ __all__ = [
     "serialize_level",
     "smb_level_path",
     "snippet_fitness",
-    "write_contributions_csv",
-    "write_frequency_csv",
 ]

@@ -8,13 +8,12 @@ training set.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .divergence import DivergenceConfig, kl_div, weighted_divergence
 from .errors import LevelDivError, LevelIoError
@@ -56,12 +55,6 @@ class DistanceMatrix:
             [(self.values[i][j] + self.values[j][i]) / 2.0 for j in range(n)]
             for i in range(n)
         ]
-
-    def write_csv(self, stream: IO[str]) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["level", *self.names])
-        for name, row in zip(self.names, self.values):
-            writer.writerow([name, *[repr(v) for v in row]])
 
 
 @dataclass(frozen=True)
@@ -255,19 +248,6 @@ class HeatmapTable:
     @staticmethod
     def column_name(dims: FilterDims, weight: float) -> str:
         return f"{dims}_{weight:g}"
-
-    def write_csv(self, stream: IO[str]) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        header = ["generator"]
-        for dims, weight in self.columns:
-            name = self.column_name(dims, weight)
-            header.extend([name, f"{name}_std", f"{name}_count"])
-        writer.writerow(header)
-        for name, row in zip(self.rows, self.cells):
-            out = [name]
-            for cell in row:
-                out.extend([repr(cell.mean), repr(cell.std), cell.count])
-            writer.writerow(out)
 
 
 def _load_directory(

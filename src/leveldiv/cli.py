@@ -17,26 +17,16 @@ import locale  # noqa: F401
 import secrets
 import sys
 from contextlib import contextmanager
-from itertools import accumulate
+from itertools import accumulate, chain, count
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .analysis import average_linkage, compare_sets, cut_dendrogram, pairwise_matrix
-from .divergence import (
-    DivergenceConfig,
-    contributions,
-    fitness,
-    write_contributions_csv,
-)
+from .divergence import DivergenceConfig, contributions, fitness
 from .errors import LevelDivError
 from .evolve import Conv, EvolutionConfig, Flip, hill_climb, snippet_fitness
 from .levels import LevelSet, TileGrid, _path_names, decode_level, load_level, serialize_level
-from .patterns import (
-    FilterDims,
-    level_distributions,
-    merge_distributions,
-    write_frequency_csv,
-)
+from .patterns import FilterDims, Pattern, level_distributions, merge_distributions
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +45,10 @@ def _dims_arg(text: str) -> FilterDims:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # reported below, as a value below 1 is
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
@@ -83,6 +76,14 @@ def _open_out(path: str | None) -> Iterator[IO[str]]:
             yield stream
 
 
+def _write_csv(path: str | None, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """The one CSV dialect: a header row, then `rows`; csv writes a float as its repr."""
+    with _open_out(path) as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _divergence_config(args: argparse.Namespace) -> DivergenceConfig:
     return DivergenceConfig(epsilon=args.epsilon, dims=args.filter, weight=args.weight)
 
@@ -99,12 +100,16 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
     levels = ((path, _read_level(path)) for path in args.levels)
     merged = merge_distributions(level_distributions(levels, args.filter))
     _note(args, f"{merged.distinct} distinct {args.filter} patterns, total {merged.total}")
-    with _open_out(args.out) as stream:
-        write_frequency_csv(merged, stream)
+    # Most frequent first; ties broken by cell string.
+    counts = sorted(merged.counts.items(), key=lambda item: (-item[1], item[0]))
+    _write_csv(args.out, ["pattern_key", "count"],
+               ((Pattern(merged.dims, cells).key, n) for cells, n in counts))
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.top is not None and args.contributions is None:
+        raise ValueError("--top trims the --contributions CSV, which was not asked for")
     config = _divergence_config(args)
     levels = ((path, _read_level(path)) for path in (args.p_level, args.q_level))
     p_dist, q_dist = level_distributions(levels, args.filter)
@@ -114,9 +119,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"kl_q_p: {result.kl_q_p!r}", file=stream)
         print(f"fitness: {result.fitness!r}", file=stream)
     if args.contributions is not None:
-        report = contributions(p_dist, q_dist, config.epsilon)
-        with _open_out(args.contributions) as stream:
-            write_contributions_csv(report, stream, top=args.top)
+        report = contributions(p_dist, q_dist, config.epsilon)[: args.top]
+        _write_csv(args.contributions, ["pattern_key", "p_prime", "q_prime", "summand"],
+                   ((e.pattern.key, e.p_prime, e.q_prime, e.summand) for e in report))
     return 0
 
 
@@ -138,14 +143,11 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     with _open_out(args.out) as stream:
         stream.write(serialize_level(result.best) + "\n")
     if args.trace is not None:
-        with _open_out(args.trace) as stream:
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(["eval_index", "candidate_fitness", "best_fitness"])
-            # The best so far is the parent's fitness: a child beats it only
-            # by beating the parent, and is then accepted.
-            best = accumulate(result.trace, max)
-            for index, (value, best_value) in enumerate(zip(result.trace, best)):
-                writer.writerow([index, repr(value), repr(best_value)])
+        # The best so far is the parent's fitness: a child beats it only
+        # by beating the parent, and is then accepted.
+        best = accumulate(result.trace, max)
+        _write_csv(args.trace, ["eval_index", "candidate_fitness", "best_fitness"],
+                   zip(count(), result.trace, best))
     return 0
 
 
@@ -154,24 +156,24 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     levels = _read_level_set(args.levels)
     matrix = pairwise_matrix(levels, config)
     dendrogram = average_linkage(matrix)
+
+    def write_matrix(path: str | None) -> None:
+        _write_csv(path, ["level", *matrix.names],
+                   ((name, *row) for name, row in zip(matrix.names, matrix.values)))
+
     if args.matrix_out is not None:
-        with _open_out(args.matrix_out) as stream:
-            matrix.write_csv(stream)
+        write_matrix(args.matrix_out)
     if args.dendrogram_out is not None:
         with _open_out(args.dendrogram_out) as stream:
             stream.write(dendrogram.to_json() + "\n")
     if args.newick_out is not None:
         with _open_out(args.newick_out) as stream:
             stream.write(dendrogram.newick() + "\n")
-    with _open_out(args.out) as stream:
-        if args.cut is None:
-            matrix.write_csv(stream)
-        else:
-            labels = cut_dendrogram(dendrogram, args.cut)
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(["level", "cluster"])
-            for name, label in zip(levels.names, labels):
-                writer.writerow([name, label])
+    if args.cut is None:
+        write_matrix(args.out)
+    else:
+        labels = cut_dendrogram(dendrogram, args.cut)
+        _write_csv(args.out, ["level", "cluster"], zip(levels.names, labels))
     return 0
 
 
@@ -184,8 +186,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if skipped:
             print(f"warning: skipped {skipped} unusable file(s) in {name}",
                   file=sys.stderr)
-    with _open_out(args.out) as stream:
-        table.write_csv(stream)
+    names = [table.column_name(dims, weight) for dims, weight in table.columns]
+    header = ["generator", *chain.from_iterable((n, f"{n}_std", f"{n}_count") for n in names)]
+    rows = (
+        (name, *chain.from_iterable((c.mean, c.std, c.count) for c in cells))
+        for name, cells in zip(table.rows, table.cells)
+    )
+    _write_csv(args.out, header, rows)
     return 0
 
 
@@ -193,11 +200,7 @@ def _cmd_snippets(args: argparse.Namespace) -> int:
     config = _divergence_config(args)
     rows = snippet_fitness(_read_level_set(args.levels), args.width, config)
     _note(args, f"{len(rows)} snippets of width {args.width}")
-    with _open_out(args.out) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["offset", "fitness"])
-        for offset, value in rows:
-            writer.writerow([offset, repr(value)])
+    _write_csv(args.out, ["offset", "fitness"], rows)
     return 0
 
 

@@ -10,11 +10,10 @@ without renormalization, so they sum to slightly more or less than one.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import IO, Iterator, Sequence
+from typing import Iterator
 
 from .errors import LevelDivError
 from .patterns import FilterDims, Pattern, PatternDistribution
@@ -135,14 +134,3 @@ def contributions(
     entries.sort(key=lambda entry: (-entry.summand, entry.pattern.key))
     return tuple(entries)
 
-
-def write_contributions_csv(
-    entries: Sequence[ContributionEntry], stream: IO[str], top: int | None = None
-) -> None:
-    """CSV export of the first `top` contributions (all when top is None)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["pattern_key", "p_prime", "q_prime", "summand"])
-    for entry in entries[:top]:
-        writer.writerow(
-            [entry.pattern.key, repr(entry.p_prime), repr(entry.q_prime), repr(entry.summand)]
-        )

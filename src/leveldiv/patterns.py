@@ -7,11 +7,10 @@ pattern to its occurrence count.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import LevelDivError
 from .levels import TileGrid
@@ -136,10 +135,3 @@ def merge_distributions(dists: Iterable[PatternDistribution]) -> PatternDistribu
         raise LevelDivError("no distributions to merge")
     return PatternDistribution(dims, counts, total)
 
-
-def write_frequency_csv(dist: PatternDistribution, stream: IO[str]) -> None:
-    """CSV export pattern_key,count, most frequent first; ties broken by cell string."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["pattern_key", "count"])
-    for cells, count in sorted(dist.counts.items(), key=lambda item: (-item[1], item[0])):
-        writer.writerow([Pattern(dist.dims, cells).key, count])

@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 import math
 import random
@@ -97,15 +95,6 @@ def test_symmetrized_averages_transposed_entries():
     assert sym[0][2] == sym[2][0] == 3.0
     assert sym[1][2] == sym[2][1] == 7.0
     assert sym[0][0] == sym[1][1] == sym[2][2] == 0.0
-
-
-def test_matrix_csv_roundtrip():
-    matrix = _matrix([[0.0, 1.25], [1.25, 0.0]], names=("x", "y"))
-    buffer = io.StringIO()
-    matrix.write_csv(buffer)
-    rows = list(csv.reader(io.StringIO(buffer.getvalue())))
-    assert rows[0] == ["level", "x", "y"]
-    assert [float(v) for v in rows[1][1:]] == [0.0, 1.25]
 
 
 def test_average_linkage_hand_case():
@@ -352,16 +341,6 @@ def test_compare_sets_column_grid(tmp_path):
         (filters[1], 0.0),
         (filters[1], 1.0),
     )
-    buffer = io.StringIO()
-    table.write_csv(buffer)
-    header = buffer.getvalue().splitlines()[0].split(",")
-    assert header == [
-        "generator",
-        "1x1_0", "1x1_0_std", "1x1_0_count",
-        "1x1_1", "1x1_1_std", "1x1_1_count",
-        "2x2_0", "2x2_0_std", "2x2_0_count",
-        "2x2_1", "2x2_1_std", "2x2_1_count",
-    ]
 
 
 def test_compare_sets_argument_validation(tmp_path):

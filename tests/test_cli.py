@@ -12,7 +12,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import leveldiv
-from leveldiv import TileGrid, load_level, serialize_level, smb_level_path
+from leveldiv import (
+    DivergenceConfig,
+    FilterDims,
+    LevelSet,
+    TileGrid,
+    contributions,
+    extract_distribution,
+    load_level,
+    pairwise_matrix,
+    serialize_level,
+    smb_level_path,
+)
 from leveldiv.cli import build_parser, dispatch, main
 
 
@@ -79,6 +90,21 @@ def test_patterns_from_stdin(capsys, monkeypatch):
     assert _run(capsys, "patterns", "-", "--filter", "1x1") == (0, out, "")
 
 
+def test_patterns_csv_bytes(capsys, tmp_path):
+    level = tmp_path / "level.txt"
+    level.write_text("aab\n")
+    code, out, _ = _run(capsys, "patterns", str(level), "--filter", "1x1")
+    assert (code, out) == (0, "pattern_key,count\n1x1:a,2\n1x1:b,1\n")
+
+
+def test_patterns_csv_ties_ordered_by_cells(capsys, tmp_path):
+    # most frequent first; b is seen before a, but the tie between them goes by cells
+    level = tmp_path / "level.txt"
+    level.write_text("bbbaaaccccc\n")
+    code, out, _ = _run(capsys, "patterns", str(level), "--filter", "1x1")
+    assert (code, out) == (0, "pattern_key,count\n1x1:c,5\n1x1:a,3\n1x1:b,3\n")
+
+
 def test_patterns_out_file(capsys, tmp_path):
     out_path = tmp_path / "freq.csv"
     path = str(smb_level_path("mario-1-1"))
@@ -112,6 +138,30 @@ def test_analyze_contributions_csv(capsys, tmp_path):
     assert len(lines) == 6
     report = dict(line.split(": ") for line in out.splitlines())
     assert float(report["fitness"]) < 0.0
+
+
+def test_analyze_contributions_csv_bytes(capsys, tmp_path):
+    p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+    p.write_text("ab\n")
+    q.write_text("aa\n")
+    dims = FilterDims(1, 1)
+    report = contributions(
+        extract_distribution(TileGrid(("ab",)), dims),
+        extract_distribution(TileGrid(("aa",)), dims),
+        1e-5,
+    )
+    contrib = tmp_path / "contrib.csv"
+    lines = ["pattern_key,p_prime,q_prime,summand\n"]
+    # floats at full round-trip precision
+    lines += [f"{e.pattern.key},{e.p_prime!r},{e.q_prime!r},{e.summand!r}\n" for e in report]
+    assert len(lines) == 3
+    for top, expected in ((None, lines), ("1", lines[:2])):
+        flags = () if top is None else ("--top", top)
+        code, _, _ = _run(capsys, "analyze", str(p), str(q), "--filter", "1x1",
+                          "--contributions", str(contrib), *flags)
+        assert code == 0
+        assert contrib.read_text() == "".join(expected)
+    assert float(lines[1].split(",")[3]) == report[0].summand
 
 
 def test_evolve_is_byte_identical_for_same_seed(capsys, tmp_path):
@@ -174,6 +224,20 @@ def test_cluster_matrix_output(capsys):
     assert rows[0] == ["level", "mario-1-1", "mario-1-2", "mario-1-3"]
     assert float(rows[1][1]) == 0.0
     assert float(rows[1][2]) > 0.0
+
+
+def test_cluster_matrix_csv_roundtrip(capsys, tmp_path):
+    grids = [("x", TileGrid(("ab", "ba"))), ("y", TileGrid(("aa", "ab")))]
+    for name, grid in grids:
+        (tmp_path / f"{name}.txt").write_text(serialize_level(grid) + "\n")
+    paths = [str(tmp_path / f"{name}.txt") for name, _ in grids]
+    code, out, _ = _run(capsys, "cluster", *paths, "--filter", "1x1")
+    assert code == 0
+    config = DivergenceConfig(dims=FilterDims(1, 1))
+    (_, xy), (yx, _) = pairwise_matrix(LevelSet.from_grids(grids), config).values
+    assert out == f"level,x,y\nx,0.0,{xy!r}\ny,{yx!r},0.0\n"
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [float(v) for v in rows[1][1:]] == [0.0, xy] and xy > 0.0
 
 
 def test_cluster_cut_and_artifacts(capsys, tmp_path):
@@ -257,8 +321,14 @@ def test_compare_end_to_end(capsys, tmp_path):
     assert code == 0
     assert "skipped 1 unusable file" in err
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0][0] == "generator"
-    assert rows[0][1:4] == ["1x1_0", "1x1_0_std", "1x1_0_count"]
+    # three columns per (filter, weight), filters outer
+    assert rows[0] == [
+        "generator",
+        "1x1_0", "1x1_0_std", "1x1_0_count",
+        "1x1_1", "1x1_1_std", "1x1_1_count",
+        "2x2_0", "2x2_0_std", "2x2_0_count",
+        "2x2_1", "2x2_1_std", "2x2_1_count",
+    ]
     assert rows[1][0] == "gen"
     assert rows[1][3] == "1"  # one parsed level
     assert float(rows[1][1]) >= 0.0
@@ -378,6 +448,20 @@ def test_exit_code_usage_errors(capsys):
     assert out == ""
 
 
+def test_positive_int_flags_are_usage_errors(capsys):
+    path, other = (str(smb_level_path(name)) for name in ("mario-1-1", "mario-1-2"))
+    for argv in (
+        ("cluster", path, other, "--cut", "x"),
+        ("evolve", path, "--width", "2.5"),
+        ("analyze", path, other, "--contributions", "-", "--top", "x"),
+        ("snippets", path, "--width", "0"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"expected a positive integer, got {argv[-1]}" in err, argv
+        assert "_positive_int" not in err, argv
+
+
 def test_bad_values_are_reported_before_levels_are_read(capsys, tmp_path):
     path, other = (str(smb_level_path(name)) for name in ("mario-1-1", "mario-1-2"))
     missing = str(tmp_path / "missing.txt")
@@ -390,6 +474,7 @@ def test_bad_values_are_reported_before_levels_are_read(capsys, tmp_path):
         (("analyze", path), ("--epsilon", "2")),
         (("cluster", path), ("--epsilon", "0")),
         (("snippets", path), ("--weight", "7")),
+        (("analyze", path), ("--top", "3")),  # trims nothing without --contributions
     ]
     for levels, flags in usage:
         # the second run's missing level is never read

@@ -1,4 +1,3 @@
-import io
 import math
 import random
 import re
@@ -18,7 +17,6 @@ from leveldiv import (
     extract_distribution,
     fitness,
     kl_div,
-    write_contributions_csv,
 )
 from leveldiv.divergence import smoothed_prob, weighted_divergence
 from conftest import filled
@@ -271,23 +269,6 @@ def test_contributions_flag_removed_pipes(mario_1_1):
     assert all(e.summand > 0.0 for e in top)
     top_cells = [e.pattern.cells for e in report[:5]]
     assert "<>[]" in top_cells
-
-
-def test_write_contributions_csv():
-    p = _dist(["ab"], 1, 1)
-    q = _dist(["aa"], 1, 1)
-    report = contributions(p, q, 1e-5)
-    buffer = io.StringIO()
-    write_contributions_csv(report, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "pattern_key,p_prime,q_prime,summand"
-    assert len(lines) == 3
-    # full round-trip precision: parsed floats equal the report values
-    first = lines[1].split(",")
-    assert float(first[3]) == report[0].summand
-    buffer = io.StringIO()
-    write_contributions_csv(report, buffer, top=1)
-    assert len(buffer.getvalue().splitlines()) == 2
 
 
 def test_kl_natural_log_scale():

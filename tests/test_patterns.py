@@ -1,4 +1,3 @@
-import io
 import random
 
 import pytest
@@ -7,11 +6,9 @@ from leveldiv import (
     FilterDims,
     LevelDivError,
     Pattern,
-    PatternDistribution,
     TileGrid,
     extract_distribution,
     merge_distributions,
-    write_frequency_csv,
 )
 from leveldiv.patterns import window_count
 from oracles import naive_window_counts, random_rows
@@ -127,20 +124,6 @@ def test_merge_errors():
     d2 = extract_distribution(TileGrid(("ab",)), FilterDims(2, 1))
     with pytest.raises(LevelDivError, match="cannot merge 2x1 into 1x1 distribution"):
         merge_distributions([d1, d2])
-
-
-def test_frequency_report_ordering():
-    dist = PatternDistribution(FilterDims(1, 1), {"b": 3, "a": 3, "c": 5}, 11)
-    buffer = io.StringIO()
-    write_frequency_csv(dist, buffer)
-    assert buffer.getvalue() == "pattern_key,count\n1x1:c,5\n1x1:a,3\n1x1:b,3\n"
-
-
-def test_write_frequency_csv():
-    dist = extract_distribution(TileGrid(("aab",)), FilterDims(1, 1))
-    buffer = io.StringIO()
-    write_frequency_csv(dist, buffer)
-    assert buffer.getvalue() == "pattern_key,count\n1x1:a,2\n1x1:b,1\n"
 
 
 def test_mario_1_1_fixture_counts(mario_1_1):

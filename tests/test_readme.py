@@ -1,10 +1,10 @@
-"""The README's Library example runs as written against the package."""
+"""The README's Library example, flags and CSV headers agree with the package."""
 
 import argparse
 import re
 from pathlib import Path
 
-from leveldiv.cli import build_parser
+from leveldiv.cli import build_parser, dispatch
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +36,49 @@ def test_readme_command_line_flags_exist():
     assert sorted(documented - accepted) == []
     long_flags = {flag for flag in accepted if flag.startswith("--")} - {"--help"}
     assert sorted(long_flags - documented) == []
+
+
+def _expand(header, names):
+    """A documented header with its `,...` part written out once per name."""
+    if not header.endswith(",..."):
+        return header
+    head, repeated = header.removesuffix(",...").split(",", 1)
+    return ",".join([head, *(re.sub(r"<\w+>", name, repeated) for name in names)])
+
+
+def test_readme_csv_headers_are_written(capsys, tmp_path):
+    # The list after "All tabular output is CSV", one bullet per CSV output.
+    text = README.read_text(encoding="utf-8").split("\nAll tabular output is CSV", 1)[1]
+    bullets = text.split("\n\n")[1].splitlines()
+    documented = {}
+    for bullet in bullets:
+        label, header = re.fullmatch(r"- `([^`]+)`[^:]*: `([^`]+)`", bullet).groups()
+        documented[label] = header
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("ab\nba\n")
+    b.write_text("aa\nab\n")
+    gen = tmp_path / "gen"
+    gen.mkdir()
+    (gen / "g.txt").write_text("ab\nbb\n")
+    out = str(tmp_path / "out.csv")
+    levels = [str(a), str(b), "--filter", "1x1"]
+    # (label, command line writing that CSV to `out`, names its header repeats over)
+    runs = [
+        ("patterns", ["patterns", *levels, "--out", out], []),
+        ("analyze --contributions", ["analyze", *levels, "--contributions", out], []),
+        ("evolve --trace", ["evolve", *levels, "--budget", "3", "--width", "2", "--seed", "0",
+                            "--trace", out], []),
+        ("cluster", ["cluster", *levels, "--out", out], ["a", "b"]),
+        ("cluster", ["cluster", *levels, "--cut", "2", "--matrix-out", out], ["a", "b"]),
+        ("cluster --cut", ["cluster", *levels, "--cut", "2", "--out", out], []),
+        ("compare", ["compare", str(gen), "--training", str(a), "--filters", "1x1",
+                     "--weights", "0.5", "--weights", "1", "--out", out], ["1x1_0.5", "1x1_1"]),
+        ("snippets", ["snippets", *levels, "--width", "1", "--out", out], []),
+    ]
+    assert sorted(documented) == sorted({label for label, _, _ in runs})
+    for label, argv, names in runs:
+        Path(out).unlink(missing_ok=True)
+        assert dispatch(argv) == 0, argv
+        first = Path(out).read_text(encoding="utf-8").split("\n", 1)[0]
+        assert first == _expand(documented[label], names), label
+    capsys.readouterr()
