@@ -16,10 +16,10 @@ import csv
 import locale  # noqa: F401
 import secrets
 import sys
-from contextlib import contextmanager
-from itertools import accumulate, chain, count
+from contextlib import ExitStack, contextmanager
+from itertools import chain, count
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .analysis import average_linkage, compare_sets, cut_dendrogram, pairwise_matrix
 from .divergence import DivergenceConfig, contributions, fitness
@@ -76,12 +76,28 @@ def _open_out(path: str | None) -> Iterator[IO[str]]:
             yield stream
 
 
+class _CsvOut(ExitStack):
+    """The one CSV dialect: a header row, then one row per `writerow` call; csv
+    writes a float as its repr. The output opens with the first row, so a
+    command that fails before it leaves no file (every table has a row)."""
+
+    def __init__(self, path: str | None, header: Sequence):
+        super().__init__()
+        self.path, self.header = path, header
+
+    def writerow(self, row: Sequence) -> None:
+        """Open the output and write the header and the first row."""
+        writer = csv.writer(self.enter_context(_open_out(self.path)), lineterminator="\n")
+        writer.writerow(self.header)
+        # Shadows this method, so later rows go straight to the writer.
+        self.writerow = writer.writerow
+        writer.writerow(row)
+
+
 def _write_csv(path: str | None, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """The one CSV dialect: a header row, then `rows`; csv writes a float as its repr."""
-    with _open_out(path) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    with _CsvOut(path, header) as out:
+        for row in rows:
+            out.writerow(row)
 
 
 def _divergence_config(args: argparse.Namespace) -> DivergenceConfig:
@@ -125,7 +141,29 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_sink(out: _CsvOut) -> Callable[[float], None]:
+    """A hill_climb sink writing each evaluation's trace row as it arrives.
+
+    The best so far is the parent's fitness: a child beats it only by beating
+    the parent, and is then accepted. It is kept as accumulate(trace, max)
+    keeps it: the first value, then a later one only where it is greater.
+    """
+    index = count()
+    best = None
+
+    def sink(fitness: float) -> None:
+        nonlocal best
+        if best is None or fitness > best:
+            best = fitness
+        out.writerow((next(index), fitness, best))
+
+    return sink
+
+
 def _cmd_evolve(args: argparse.Namespace) -> int:
+    if args.trace == "-" and args.out in (None, "-"):
+        raise ValueError("--trace - streams to standard output, where the level goes "
+                         "too; give --out FILE")
     seed = args.seed if args.seed is not None else secrets.randbits(64)
     flip = Flip(rate=args.flip_rate)  # built under conv too, so a bad rate is always an error
     config = EvolutionConfig(
@@ -136,18 +174,17 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         mutation=flip if args.mutation == "flip" else Conv(),
         seed=seed,
     )
-    result = hill_climb(_read_level_set(args.levels), config)
+    training = _read_level_set(args.levels)
+    if args.trace is None:
+        result = hill_climb(training, config, sink=lambda fitness: None)
+    else:
+        with _CsvOut(args.trace, ["eval_index", "candidate_fitness", "best_fitness"]) as out:
+            result = hill_climb(training, config, sink=_trace_sink(out))
     # Printed once the climb has run, so a rejected command line prints only its error.
     print(f"seed: {seed}", file=sys.stderr)
     _note(args, f"final fitness {result.best_fitness!r} after {result.elapsed:.2f}s")
     with _open_out(args.out) as stream:
         stream.write(serialize_level(result.best) + "\n")
-    if args.trace is not None:
-        # The best so far is the parent's fitness: a child beats it only
-        # by beating the parent, and is then accepted.
-        best = accumulate(result.trace, max)
-        _write_csv(args.trace, ["eval_index", "candidate_fitness", "best_fitness"],
-                   zip(count(), result.trace, best))
     return 0
 
 

@@ -7,6 +7,8 @@ their net count changes move two exact integer sums of KL summands, and the
 child is committed only if accepted. The resulting fitness is bit-identical to
 a from-scratch recomputation because both are correctly rounded sums of the
 same terms.
+Each candidate's fitness goes to a caller's sink as soon as it is computed,
+so a long climb need keep no trace; without a sink the trace is collected.
 Training snippets are scored the same way, sliding one column at a time.
 
 Randomness comes from `random.Random` (Mersenne Twister); a fixed seed
@@ -125,11 +127,17 @@ class EvolutionConfig:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
 
 
+# The most cells a target may have: 20 times the largest bundled level
+# (230x14), so that no target size can ask for unbounded memory.
+MAX_TARGET_CELLS = 65_536
+
+
 @dataclass(frozen=True)
 class EvolutionResult:
     """`trace` is the candidate fitness of every evaluation: entry 0 is the
     initial candidate, then one entry per evaluation. The best fitness so far
-    is its running maximum, which always equals the parent's fitness."""
+    is its running maximum, which always equals the parent's fitness. It is
+    empty when the run was given a sink, which received those values instead."""
 
     best: TileGrid
     best_fitness: float
@@ -312,35 +320,51 @@ def random_init(
     )
 
 
-def hill_climb(training: LevelSet, config: EvolutionConfig) -> EvolutionResult:
+def hill_climb(
+    training: LevelSet,
+    config: EvolutionConfig,
+    sink: Callable[[float], object] | None = None,
+) -> EvolutionResult:
     """Run the (1+1) climber: mutate, evaluate, keep the child when no worse.
 
     The training distribution is merged once up front; the initial candidate's
-    evaluation is logged at trace index 0 and does not count against the
-    budget. Each child is priced by CandidateCounts.propose and committed only
-    when accepted, so a rejected child leaves nothing to undo. A training level
-    or a target grid smaller than the filter is a LevelDivError.
+    evaluation is passed to `sink` first (trace index 0) and does not count
+    against the budget, then each evaluation's fitness as soon as it is
+    computed. Without a sink they are collected into `EvolutionResult.trace`;
+    with one, `trace` is empty and the climb keeps no per-evaluation state.
+    Each child is priced by CandidateCounts.propose and committed only when
+    accepted, so a rejected child leaves nothing to undo. A target of more
+    than MAX_TARGET_CELLS cells is a ValueError; a training level or a target
+    grid smaller than the filter is a LevelDivError.
     """
     start = time.perf_counter()
-    dims = config.divergence.dims
-    p_dist = merge_distributions(level_distributions(training, dims))
     height = (
         config.target_height
         if config.target_height is not None
         else training.grids[0].height
     )
+    if config.target_width * height > MAX_TARGET_CELLS:
+        raise ValueError(
+            f"target {config.target_width}x{height} has more than "
+            f"{MAX_TARGET_CELLS} cells"
+        )
+    dims = config.divergence.dims
+    p_dist = merge_distributions(level_distributions(training, dims))
+    trace: list[float] = []
+    if sink is None:
+        sink = trace.append
     rng = random.Random(config.seed)
     grid = random_init(training.symbols, config.target_width, height, rng)
     state = CandidateCounts(grid, p_dist, config.divergence)
     parent_fitness = state.fitness()
-    trace = [parent_fitness]
+    sink(parent_fitness)
     mutation = config.mutation
     for _ in range(config.budget):
         child = state.propose(mutation.edits(state.rows, training, dims, rng))
         if child.fitness >= parent_fitness:
             state.commit(child)
             parent_fitness = child.fitness
-        trace.append(child.fitness)
+        sink(child.fitness)
     return EvolutionResult(
         state.grid(), parent_fitness, tuple(trace), time.perf_counter() - start
     )

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import accumulate, count
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,14 @@ from hypothesis import strategies as st
 import leveldiv
 from leveldiv import (
     DivergenceConfig,
+    EvolutionConfig,
     FilterDims,
+    Flip,
     LevelSet,
     TileGrid,
     contributions,
     extract_distribution,
+    hill_climb,
     load_level,
     pairwise_matrix,
     serialize_level,
@@ -185,6 +189,67 @@ def test_evolve_is_byte_identical_for_same_seed(capsys, tmp_path):
     for _, candidate, best_so_far in rows[1:]:
         best = max(best, float(candidate))
         assert float(best_so_far) == best
+
+
+def test_evolve_trace_bytes_equal_the_library_trace(capsys, tmp_path):
+    """The streamed CSV equals rows built from the collected trace, with the
+    running best of accumulate(trace, max): this pins the sign of a zero
+    fitness and which of two equal values the best keeps."""
+    flat = tmp_path / "flat.txt"
+    flat.write_text("------\n" * 6)
+    runs = [
+        ([str(smb_level_path("mario-1-1"))], ("--budget", "2000", "--seed", "42"),
+         EvolutionConfig(budget=2000, seed=42)),
+        ([str(flat)], ("--mutation", "flip", "--filter", "2x2", "--width", "6",
+                       "--budget", "20", "--seed", "0"),
+         EvolutionConfig(divergence=DivergenceConfig(dims=FilterDims(2, 2)), target_width=6,
+                         budget=20, mutation=Flip(), seed=0)),
+    ]
+    for paths, flags, config in runs:
+        trace_path = tmp_path / "trace.csv"
+        code, _, _ = _run(capsys, "evolve", *paths, *flags,
+                          "--out", str(tmp_path / "level.txt"), "--trace", str(trace_path))
+        assert code == 0
+        trace = hill_climb(LevelSet.from_grids([(Path(paths[0]).stem, load_level(paths[0]))]),
+                           config).trace
+        expected = "eval_index,candidate_fitness,best_fitness\n" + "".join(
+            f"{i},{c!r},{b!r}\n" for i, c, b in zip(count(), trace, accumulate(trace, max))
+        )
+        # compared line by line: a failing diff of the whole text takes minutes
+        assert (trace_path.read_bytes().decode().splitlines(keepends=True)
+                == expected.splitlines(keepends=True))
+    assert expected.splitlines()[1] == "0,-0.0,-0.0"
+
+
+def test_evolve_trace_on_stdout_needs_out_file(capsys, tmp_path):
+    path = str(smb_level_path("mario-1-1"))
+    level = tmp_path / "level.txt"
+    flags = ("--filter", "2x2", "--budget", "5", "--seed", "3")
+    code, out, _ = _run(capsys, "evolve", path, *flags, "--trace", "-", "--out", str(level))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "eval_index,candidate_fitness,best_fitness"
+    assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(6)]
+    assert len(level.read_text().splitlines()) == 14
+
+
+def test_failed_evolve_leaves_no_trace_file(capsys, tmp_path):
+    path = str(smb_level_path("mario-1-1"))
+    trace = tmp_path / "trace.csv"
+    # a filter larger than the target fails before the first row
+    code, out, err = _run(capsys, "evolve", path, "--width", "3", "--trace", str(trace))
+    assert (code, out) == (2, "")
+    assert "does not fit" in err
+    assert not trace.exists()
+    # a trace path that cannot be written
+    unwritable = tmp_path / "no-such-dir" / "trace.csv"
+    level = tmp_path / "level.txt"
+    code, out, err = _run(capsys, "evolve", path, "--budget", "5", "--trace", str(unwritable),
+                          "--out", str(level))
+    assert (code, out) == (3, "")
+    assert err.startswith("leveldiv: i/o error: ")
+    assert str(unwritable) in err
+    assert not level.exists()
 
 
 def test_evolve_draws_and_prints_seed_when_missing(capsys, tmp_path):
@@ -475,6 +540,9 @@ def test_bad_values_are_reported_before_levels_are_read(capsys, tmp_path):
         (("cluster", path), ("--epsilon", "0")),
         (("snippets", path), ("--weight", "7")),
         (("analyze", path), ("--top", "3")),  # trims nothing without --contributions
+        # a streamed trace would share standard output with the level
+        (("evolve", path), ("--trace", "-")),
+        (("evolve", path), ("--trace", "-", "--out", "-")),
     ]
     for levels, flags in usage:
         # the second run's missing level is never read

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from leveldiv import (
     merge_distributions,
     snippet_fitness,
 )
-from leveldiv.evolve import CandidateCounts, random_init
+from leveldiv import evolve
+from leveldiv.evolve import MAX_TARGET_CELLS, CandidateCounts, random_init
 from conftest import filled
 
 
@@ -437,6 +439,56 @@ def test_hill_climb_trace_invariants():
         # The accepted parent is always the best candidate seen so far.
         assert result.best_fitness == max(result.trace)
         assert result.elapsed > 0.0
+
+
+def test_hill_climb_sink_receives_the_trace():
+    training = _training_set()
+    for mutation in (Conv(), Flip(rate=3.0)):
+        config = _small_config(mutation=mutation)
+        received = []
+        streamed = hill_climb(training, config, sink=received.append)
+        collected = hill_climb(training, config)
+        assert len(received) == config.budget + 1
+        assert [v.hex() for v in received] == [v.hex() for v in collected.trace]
+        assert streamed.trace == ()
+        assert streamed.best == collected.best
+        assert streamed.best_fitness.hex() == collected.best_fitness.hex()
+
+
+def test_hill_climb_memory_does_not_grow_with_budget_under_a_sink():
+    training = _training_set()
+
+    def peak(budget):
+        config = _small_config(target_width=12, target_height=8, budget=budget)
+        tracemalloc.start()
+        try:
+            hill_climb(training, config, sink=lambda fitness: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # A trace kept in a list would add about 700 KiB over these 18,000 evaluations.
+    assert peak(20_000) - peak(2_000) < 64 * 1024
+
+
+def test_hill_climb_target_cell_cap(monkeypatch):
+    # No grid is ever made: reaching random_init raises instead.
+    class Reached(Exception):
+        pass
+
+    def refuse(*args):
+        raise Reached
+
+    monkeypatch.setattr(evolve, "random_init", refuse)
+    training = _training_set()  # 4 rows high
+    at_cap = MAX_TARGET_CELLS // 4
+    for width, height in ((MAX_TARGET_CELLS, 1), (at_cap, None), (1, MAX_TARGET_CELLS)):
+        with pytest.raises(Reached):
+            hill_climb(training, _small_config(target_width=width, target_height=height))
+    for width, height in ((MAX_TARGET_CELLS + 1, 1), (at_cap + 1, None), (10**9, 10**9)):
+        config = _small_config(target_width=width, target_height=height)
+        with pytest.raises(ValueError, match=f"more than {MAX_TARGET_CELLS} cells"):
+            hill_climb(training, config)
 
 
 def test_hill_climb_result_matches_scratch_recompute():
