@@ -1,9 +1,10 @@
 """Corpus-level divergence tools.
 
 Pairwise weighted-divergence matrices between levels, agglomerative clustering
-with average linkage (plus dendrogram cutting and Newick export), and
-mean-divergence tables comparing directories of generated levels against a
-training set.
+with average linkage, and mean-divergence tables comparing directories of
+generated levels against a training set. A dendrogram is its list of merges:
+the Newick text, the JSON and the k-cluster cut each read that list in one
+pass, in merge order.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import os
 import statistics
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -48,71 +50,48 @@ class DistanceMatrix:
     def __len__(self) -> int:
         return len(self.names)
 
-    def symmetrized(self) -> list[list[float]]:
-        """(d(i,j) + d(j,i)) / 2; identical to the raw values at w = 0.5."""
-        n = len(self.names)
-        return [
-            [(self.values[i][j] + self.values[j][i]) / 2.0 for j in range(n)]
-            for i in range(n)
-        ]
-
 
 @dataclass(frozen=True)
 class DendrogramMerge:
-    """One agglomeration step; ids < n are leaves, larger ids earlier merges."""
+    """One agglomeration step. Ids below n are leaves; merge k of a Dendrogram
+    makes cluster n + k."""
 
     cluster_a: int
     cluster_b: int
     height: float
-    new_id: int
 
 
 @dataclass(frozen=True)
 class Dendrogram:
+    """Leaf names and the merges that join them, in merge order; the merges
+    are the one record of the tree."""
+
     leaves: tuple[str, ...]
     merges: tuple[DendrogramMerge, ...]
 
     def newick(self) -> str:
         """Ultrametric Newick string; leaves sit at half the merge height.
 
-        Built from an explicit stack, so a chained tree of any depth renders.
+        Each merged cluster's text is built from its two children's, in merge
+        order, without recursion, so a chained tree of any depth renders.
         """
-        n = len(self.leaves)
-        half = {i: 0.0 for i in range(n)}
-        children: dict[int, tuple[int, int]] = {}
-        for merge in self.merges:
-            children[merge.new_id] = (merge.cluster_a, merge.cluster_b)
-            half[merge.new_id] = merge.height / 2.0
-        parts = []
-        # Text to emit as is, or (node, its parent; None for the root).
-        stack: list = [(self.merges[-1].new_id if self.merges else 0, None)]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
-                continue
-            node, parent = item
-            suffix = ";" if parent is None else f":{half[parent] - half[node]:.12g}"
-            if node < n:
-                parts.append(_newick_label(self.leaves[node]) + suffix)
-            else:
-                a, b = children[node]
-                parts.append("(")
-                stack += [")" + suffix, (b, node), ",", (a, node)]
-        return "".join(parts)
+        # Text and half height of each live cluster; merging pops its children.
+        live = {i: (_newick_label(name), 0.0) for i, name in enumerate(self.leaves)}
+        for new, merge in enumerate(self.merges, len(self.leaves)):
+            half = merge.height / 2.0
+            text_a, half_a = live.pop(merge.cluster_a)
+            text_b, half_b = live.pop(merge.cluster_b)
+            live[new] = (f"({text_a}:{half - half_a:.12g},{text_b}:{half - half_b:.12g})", half)
+        [(root, _)] = live.values()
+        return root + ";"
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "leaves": list(self.leaves),
                 "merges": [
-                    {
-                        "a": m.cluster_a,
-                        "b": m.cluster_b,
-                        "height": m.height,
-                        "id": m.new_id,
-                    }
-                    for m in self.merges
+                    {"a": m.cluster_a, "b": m.cluster_b, "height": m.height, "id": new}
+                    for new, m in enumerate(self.merges, len(self.leaves))
                 ],
                 "newick": self.newick(),
             },
@@ -154,53 +133,45 @@ def pairwise_matrix(levels: LevelSet, config: DivergenceConfig) -> DistanceMatri
 def average_linkage(matrix: DistanceMatrix) -> Dendrogram:
     """Agglomerate with unweighted pair-group average linkage.
 
-    The matrix is symmetrized first; inter-cluster distance is the arithmetic
-    mean over all cross pairs. Ties pick the earliest pair in current cluster
-    order, so the merge sequence is deterministic.
+    The distance between levels i and j is (d(i,j) + d(j,i)) / 2, which equals
+    (kl(i,j) + kl(j,i)) / 2 for every weight w: the weight shapes the matrix,
+    and moves the tree only through rounding. Inter-cluster distance is the
+    arithmetic mean over all cross pairs. Ties pick the earliest pair in
+    current cluster order, so the merge sequence is deterministic.
     """
     n = len(matrix)
     if n < 2:
         raise LevelDivError("clustering needs at least 2 leaves")
-    sym = matrix.symmetrized()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sym[i][j] < _NEGATIVE_TOLERANCE:
-                raise LevelDivError(
-                    f"symmetrized distance {sym[i][j]!r} between "
-                    f"{matrix.names[i]} and {matrix.names[j]} is negative"
-                )
+    values = matrix.values
     dist: dict[tuple[int, int], float] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            dist[(i, j)] = sym[i][j]
+            dist[i, j] = (values[i][j] + values[j][i]) / 2.0
+            if dist[i, j] < _NEGATIVE_TOLERANCE:
+                raise LevelDivError(
+                    f"symmetrized distance {dist[i, j]!r} between "
+                    f"{matrix.names[i]} and {matrix.names[j]} is negative"
+                )
     size = {i: 1 for i in range(n)}
+    # New ids are appended in increasing order, so `active` stays sorted.
     active = list(range(n))
     merges = []
-    next_id = n
-    while len(active) > 1:
-        best = None
-        best_a = best_b = -1
-        for ai in range(len(active)):
-            for aj in range(ai + 1, len(active)):
-                a, b = active[ai], active[aj]
-                value = dist[(a, b) if a < b else (b, a)]
-                if best is None or value < best:
-                    best, best_a, best_b = value, a, b
-        new = next_id
-        next_id += 1
+    for new in range(n, 2 * n - 1):
+        # min keeps the first of equal pairs, in current cluster order.
+        best_a, best_b = min(combinations(active, 2), key=dist.__getitem__)
         for c in active:
             if c == best_a or c == best_b:
                 continue
             d_a = dist[(c, best_a) if c < best_a else (best_a, c)]
             d_b = dist[(c, best_b) if c < best_b else (best_b, c)]
-            dist[(c, new)] = (size[best_a] * d_a + size[best_b] * d_b) / (
+            dist[c, new] = (size[best_a] * d_a + size[best_b] * d_b) / (
                 size[best_a] + size[best_b]
             )
         size[new] = size[best_a] + size[best_b]
         active.remove(best_a)
         active.remove(best_b)
         active.append(new)
-        merges.append(DendrogramMerge(best_a, best_b, best, new))
+        merges.append(DendrogramMerge(best_a, best_b, dist[best_a, best_b]))
     return Dendrogram(tuple(matrix.names), tuple(merges))
 
 
@@ -214,9 +185,9 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> list[int]:
     if not 1 <= k <= n:
         raise LevelDivError(f"cannot cut {n} leaves into {k} clusters")
     parent: dict[int, int] = {}
-    for merge in dendrogram.merges[: n - k]:
-        parent[merge.cluster_a] = merge.new_id
-        parent[merge.cluster_b] = merge.new_id
+    for new, merge in enumerate(dendrogram.merges[: n - k], n):
+        parent[merge.cluster_a] = new
+        parent[merge.cluster_b] = new
     labels: dict[int, int] = {}
     out = []
     for leaf in range(n):

@@ -14,6 +14,7 @@ import csv
 # argparse imports locale (through gettext) whenever it builds a parser, so
 # every command needs it: importing it here keeps that fixed cost in start-up.
 import locale  # noqa: F401
+import os
 import secrets
 import sys
 from contextlib import ExitStack, contextmanager
@@ -98,6 +99,24 @@ def _write_csv(path: str | None, header: Sequence, rows: Iterable[Sequence]) -> 
     with _CsvOut(path, header) as out:
         for row in rows:
             out.writerow(row)
+
+
+# Every flag that names an output file, by destination.
+_OUTPUTS = ("out", "contributions", "trace", "matrix_out", "dendrogram_out", "newick_out")
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Two output flags naming one file would leave only the last output
+    written. Standard output (`-`) may be shared."""
+    flags: dict[str, str] = {}
+    for dest in _OUTPUTS:
+        path = getattr(args, dest, None)
+        if path is None or path == "-":
+            continue
+        flag = "--" + dest.replace("_", "-")
+        first = flags.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise ValueError(f"{first} and {flag} name one file, {path}")
 
 
 def _divergence_config(args: argparse.Namespace) -> DivergenceConfig:
@@ -348,6 +367,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        _check_outputs(args)
         return args.func(args)
     except BrokenPipeError:
         return 3

@@ -56,11 +56,6 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
 
 
-def smoothed_prob(count: int, total: int, epsilon: float) -> float:
-    """Probability estimate for a pattern seen `count` times out of `total` windows."""
-    return (count + epsilon) / ((total + epsilon) * (1.0 + epsilon))
-
-
 def weighted_divergence(kl_p_q: float, kl_q_p: float, weight: float) -> float:
     """Mix of the two directions, w * kl_p_q + (1 - w) * kl_q_p; fitness is its negation."""
     return weight * kl_p_q + (1.0 - weight) * kl_q_p
@@ -68,7 +63,7 @@ def weighted_divergence(kl_p_q: float, kl_q_p: float, weight: float) -> float:
 
 def _smoothed(count: int, total: int, epsilon: float) -> tuple[float, float]:
     """P' and log P' of a pattern seen `count` times out of `total` windows."""
-    prob = smoothed_prob(count, total, epsilon)
+    prob = (count + epsilon) / ((total + epsilon) * (1.0 + epsilon))
     if prob == 0.0:
         raise ValueError(
             f"epsilon {epsilon!r} is too small for a window total of {total}: P' underflows to 0"

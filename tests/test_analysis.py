@@ -27,6 +27,7 @@ from leveldiv import (
     pairwise_matrix,
     serialize_level,
 )
+from leveldiv.analysis import _newick_label
 from leveldiv.evolve import random_init
 from conftest import filled
 from oracles import (
@@ -88,13 +89,15 @@ def test_pairwise_matrix_names_offending_level():
     assert "small" in str(err.value)
 
 
-def test_symmetrized_averages_transposed_entries():
-    matrix = _matrix([[0.0, 2.0, 4.0], [1.0, 0.0, 8.0], [2.0, 6.0, 0.0]])
-    sym = matrix.symmetrized()
-    assert sym[0][1] == sym[1][0] == 1.5
-    assert sym[0][2] == sym[2][0] == 3.0
-    assert sym[1][2] == sym[2][1] == 7.0
-    assert sym[0][0] == sym[1][1] == sym[2][2] == 0.0
+def test_average_linkage_averages_transposed_entries():
+    # symmetrized: d(0,1) = 1.5, d(0,2) = 3.0, d(1,2) = 7.0
+    values = [[0.0, 2.0, 4.0], [1.0, 0.0, 8.0], [2.0, 6.0, 0.0]]
+    merges = average_linkage(_matrix(values)).merges
+    assert (merges[0].cluster_a, merges[0].cluster_b) == (0, 1)
+    assert merges[0].height == (values[0][1] + values[1][0]) / 2 == 1.5
+    # the merged pair's mean distance to leaf 2: (3.0 + 7.0) / 2
+    assert (merges[1].cluster_a, merges[1].cluster_b) == (2, 3)
+    assert merges[1].height == ((4.0 + 2.0) / 2 + (8.0 + 6.0) / 2) / 2 == 5.0
 
 
 def test_average_linkage_hand_case():
@@ -111,7 +114,7 @@ def test_average_linkage_hand_case():
     assert (merges[1].cluster_a, merges[1].cluster_b, merges[1].height) == (2, 3, 2.0)
     assert merges[2].cluster_a == 4 and merges[2].cluster_b == 5
     assert merges[2].height == (10.0 + 12.0 + 11.0 + 9.0) / 4.0
-    assert [m.new_id for m in merges] == [4, 5, 6]
+    assert [m["id"] for m in json.loads(dendro.to_json())["merges"]] == [4, 5, 6]
 
 
 def test_average_linkage_tie_breaks_by_first_pair():
@@ -213,7 +216,7 @@ def test_newick_structure():
 def test_newick_quotes_labels():
     dendro = Dendrogram(
         ("lvl (a,b)", "it's", "x_1"),
-        (DendrogramMerge(0, 1, 2.0, 3), DendrogramMerge(3, 2, 4.0, 4)),
+        (DendrogramMerge(0, 1, 2.0), DendrogramMerge(3, 2, 4.0)),
     )
     assert dendro.newick() == "(('lvl (a,b)':1,'it''s':1):1,x_1:2);"
     assert Dendrogram(("a b",), ()).newick() == "'a b';"
@@ -221,7 +224,7 @@ def test_newick_quotes_labels():
 
 def test_dendrogram_json():
     dendro = Dendrogram(
-        ("a", "b"), (DendrogramMerge(0, 1, 2.5, 2),)
+        ("a", "b"), (DendrogramMerge(0, 1, 2.5),)
     )
     data = json.loads(dendro.to_json())
     assert data["leaves"] == ["a", "b"]
@@ -232,15 +235,42 @@ def test_dendrogram_json():
 def test_newick_renders_a_chain_deeper_than_the_recursion_limit():
     # each merge adds one leaf to the cluster before it: 1,099 nested levels
     n = 1100
-    merges = [DendrogramMerge(0, 1, 1.0, n)]
+    merges = [DendrogramMerge(0, 1, 1.0)]
     for leaf in range(2, n):
-        merges.append(DendrogramMerge(n + leaf - 2, leaf, float(leaf), n + leaf - 1))
+        merges.append(DendrogramMerge(n + leaf - 2, leaf, float(leaf)))
     dendro = Dendrogram(tuple(f"l{i}" for i in range(n)), tuple(merges))
     tree = dendro.newick()
     assert tree.startswith("(" * (n - 1) + "l0:0.5,l1:0.5):0.5,l2:1):0.5,l3:1.5)")
     assert tree.endswith("):0.5,l1099:549.5);")
     assert tree.count("(") == tree.count(")") == n - 1
     assert json.loads(dendro.to_json())["newick"] == tree
+
+
+def _reference_newick(dendro):
+    """Newick by recursion from the root; merge k makes node n + k."""
+    n = len(dendro.leaves)
+    merges = {n + k: m for k, m in enumerate(dendro.merges)}
+
+    def half(node):
+        return merges[node].height / 2.0 if node >= n else 0.0
+
+    def text(node):
+        if node < n:
+            return _newick_label(dendro.leaves[node])
+        m = merges[node]
+        return "(" + ",".join(
+            f"{text(child)}:{half(node) - half(child):.12g}" for child in (m.cluster_a, m.cluster_b)
+        ) + ")"
+
+    return text(n + len(dendro.merges) - 1) + ";"
+
+
+def test_newick_matches_a_recursive_reference():
+    rng = random.Random(83)
+    for n in [*range(2, 12), *(rng.randint(12, 40) for _ in range(10))]:
+        values = [[0.0 if i == j else rng.random() for j in range(n)] for i in range(n)]
+        dendro = average_linkage(_matrix(values, names=[f"l {i}" for i in range(n)]))
+        assert dendro.newick() == _reference_newick(dendro), n
 
 
 def test_smb_corpus_clusters_by_type_at_default_settings():
@@ -408,7 +438,7 @@ def test_average_linkage_two_leaves():
     merge = dendro.merges[0]
     assert (merge.cluster_a, merge.cluster_b) == (0, 1)
     assert merge.height == 3.5
-    assert merge.new_id == 2
+    assert json.loads(dendro.to_json())["merges"][0]["id"] == 2
 
 
 def test_compare_sets_training_copies_are_zero(tmp_path):

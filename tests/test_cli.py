@@ -28,7 +28,7 @@ from leveldiv import (
     serialize_level,
     smb_level_path,
 )
-from leveldiv.cli import build_parser, dispatch, main
+from leveldiv.cli import _OUTPUTS, _check_outputs, build_parser, dispatch, main
 
 
 def _run(capsys, *argv):
@@ -530,6 +530,8 @@ def test_positive_int_flags_are_usage_errors(capsys):
 def test_bad_values_are_reported_before_levels_are_read(capsys, tmp_path):
     path, other = (str(smb_level_path(name)) for name in ("mario-1-1", "mario-1-2"))
     missing = str(tmp_path / "missing.txt")
+    shared = str(tmp_path / "out")
+    same = f"{tmp_path}/./out"  # another spelling of the same file
     usage = [
         (("evolve", path), ("--epsilon", "0")),
         (("evolve", path), ("--epsilon", "nan")),
@@ -543,6 +545,11 @@ def test_bad_values_are_reported_before_levels_are_read(capsys, tmp_path):
         # a streamed trace would share standard output with the level
         (("evolve", path), ("--trace", "-")),
         (("evolve", path), ("--trace", "-", "--out", "-")),
+        # two outputs naming one file: only the last written would be left
+        (("evolve", path), ("--out", shared, "--trace", shared)),
+        (("cluster", path), ("--cut", "2", "--out", shared, "--matrix-out", shared,
+                             "--newick-out", shared)),
+        (("analyze", path), ("--out", shared, "--contributions", same)),
     ]
     for levels, flags in usage:
         # the second run's missing level is never read
@@ -550,6 +557,9 @@ def test_bad_values_are_reported_before_levels_are_read(capsys, tmp_path):
             code, out, err = _run(capsys, *args)
             assert (code, out) == (1, ""), args
             assert err.startswith("leveldiv: error: "), args
+    assert not Path(shared).exists()
+    code, _, err = _run(capsys, "analyze", path, other, "--out", shared, "--contributions", same)
+    assert err == f"leveldiv: error: --out and --contributions name one file, {same}\n"
     # a target smaller than the filter is found by the climb, before any seed is printed
     for flags in (("--width", "3"), ("--height", "3"), ("--filter", "2x2", "--width", "1")):
         code, out, err = _run(capsys, "evolve", path, *flags)
@@ -564,18 +574,20 @@ def test_every_parsed_flag_is_read(capsys, tmp_path):
     generated = tmp_path / "gen"
     generated.mkdir()
     (generated / "a.txt").write_bytes(smb_level_path("mario-1-3").read_bytes())
-    out = str(tmp_path / "out")
+    out = tmp_path / "out"
     positionals = {
         "patterns": [level], "analyze": [level, other], "evolve": [level],
         "cluster": [level, other], "compare": [str(generated)], "snippets": [level],
     }
     # A valid value per destination; flags that take no value are given bare.
+    # Each output flag gets its own path: two naming one file are a usage error.
     values = {
         "epsilon": "1e-5", "filter": "2x2", "filters": "2x2", "weight": "0.5",
-        "weights": "0.5", "out": out, "contributions": out, "top": "3", "budget": "5",
-        "width": "8", "height": "6", "mutation": "flip", "flip_rate": "2", "seed": "1",
-        "trace": out, "cut": "2", "matrix_out": out, "dendrogram_out": out,
-        "newick_out": out, "training": level,
+        "weights": "0.5", "out": f"{out}.out", "contributions": f"{out}.contributions",
+        "top": "3", "budget": "5", "width": "8", "height": "6", "mutation": "flip",
+        "flip_rate": "2", "seed": "1", "trace": f"{out}.trace", "cut": "2",
+        "matrix_out": f"{out}.matrix", "dendrogram_out": f"{out}.json",
+        "newick_out": f"{out}.nwk", "training": level,
     }
     reads = set()
 
@@ -595,8 +607,11 @@ def test_every_parsed_flag_is_read(capsys, tmp_path):
                 argv.append(action.option_strings[0])
                 if action.nargs != 0:
                     argv.append(values[action.dest])
+        # every output flag is among those checked for sharing one file
+        assert {a.dest for a in actions if a.metavar == "PATH"} <= set(_OUTPUTS), name
         args = parser.parse_args(argv, namespace=Recorder())
         func = args.func
+        _check_outputs(args)
         reads.clear()
         assert func(args) == 0, argv
         assert sorted({a.dest for a in actions} - reads) == [], argv

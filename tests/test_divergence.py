@@ -18,7 +18,7 @@ from leveldiv import (
     fitness,
     kl_div,
 )
-from leveldiv.divergence import smoothed_prob, weighted_divergence
+from leveldiv.divergence import _smoothed, weighted_divergence
 from conftest import filled
 from oracles import mp_fitness, mp_kl, mp_smoothed, random_rows
 
@@ -41,14 +41,14 @@ def _random_pair(rng, fw, fh):
 
 
 def test_smoothed_prob_hand_values():
-    assert smoothed_prob(2, 7, 0.5) == 2.5 / (7.5 * 1.5)
-    assert smoothed_prob(1, 1, 1e-5) == (1 + 1e-5) / ((1 + 1e-5) * (1 + 1e-5))
-    approx = smoothed_prob(0, 100, 1e-5)
+    assert _smoothed(2, 7, 0.5)[0] == 2.5 / (7.5 * 1.5)
+    assert _smoothed(1, 1, 1e-5)[0] == (1 + 1e-5) / ((1 + 1e-5) * (1 + 1e-5))
+    approx = _smoothed(0, 100, 1e-5)[0]
     assert approx == pytest.approx(9.99989e-8, rel=1e-4)
 
 
 def test_smoothed_prob_matches_extended_precision():
-    value = smoothed_prob(2100, 2613, 1e-5)
+    value = _smoothed(2100, 2613, 1e-5)[0]
     oracle = float(mp_smoothed(2100, 2613, 1e-5))
     assert value == pytest.approx(oracle, rel=1e-15)
 
@@ -276,7 +276,7 @@ def test_kl_natural_log_scale():
     p = PatternDistribution(FilterDims(1, 1), {"a": 10}, 10)
     q = PatternDistribution(FilterDims(1, 1), {"a": 10, "b": 10}, 20)
     eps = 1e-5
-    expected = smoothed_prob(10, 10, eps) * (
-        math.log(smoothed_prob(10, 10, eps)) - math.log(smoothed_prob(10, 20, eps))
+    expected = _smoothed(10, 10, eps)[0] * (
+        math.log(_smoothed(10, 10, eps)[0]) - math.log(_smoothed(10, 20, eps)[0])
     )
     assert kl_div(p, q, eps) == expected

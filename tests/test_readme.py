@@ -1,9 +1,13 @@
-"""The README's Library example, flags and CSV headers agree with the package."""
+"""The README agrees with the package: its Library example, flags, CSV headers,
+dendrogram JSON schema and internal helpers."""
 
 import argparse
+import importlib
+import json
 import re
 from pathlib import Path
 
+import leveldiv
 from leveldiv.cli import build_parser, dispatch
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -82,3 +86,37 @@ def test_readme_csv_headers_are_written(capsys, tmp_path):
         first = Path(out).read_text(encoding="utf-8").split("\n", 1)[0]
         assert first == _expand(documented[label], names), label
     capsys.readouterr()
+
+
+def _documented_keys(text, lead):
+    """The backquoted names of the sentence `lead` opens, up to its colon;
+    line breaks read as spaces."""
+    listed = re.search(re.escape(lead) + r"(.*?):", " ".join(text.split())).group(1)
+    return re.findall(r"`(\w+)`", listed)
+
+
+def test_readme_dendrogram_schema_is_written(capsys, tmp_path):
+    text = README.read_text(encoding="utf-8")
+    a, b, c = (tmp_path / f"{name}.txt" for name in "abc")
+    a.write_text("ab\nba\n")
+    b.write_text("aa\nab\n")
+    c.write_text("bb\nbb\n")
+    out = tmp_path / "tree.json"
+    assert dispatch(["cluster", str(a), str(b), str(c), "--filter", "1x1",
+                     "--dendrogram-out", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert list(data) == _documented_keys(text, "The `--dendrogram-out` JSON has the keys")
+    for merge in data["merges"]:
+        assert list(merge) == _documented_keys(text, "Each entry of `merges` has the keys")
+    assert [merge["id"] for merge in data["merges"]] == [3, 4]
+
+
+def test_readme_internal_helpers_stay_internal():
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"Internal helpers such as(.*?)stay in their modules", text, re.DOTALL)
+    helpers = re.findall(r"`(\w+)\.(\w+)`", listed.group(1))
+    assert helpers
+    for module, name in helpers:
+        assert hasattr(importlib.import_module(f"leveldiv.{module}"), name), (module, name)
+        assert name not in leveldiv.__all__, name
