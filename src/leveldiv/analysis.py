@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import os
 import statistics
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .divergence import DivergenceConfig, kl_div, weighted_divergence
-from .errors import LevelDivError, LevelIoError
+from .errors import LevelDivError, LevelIoError, record
 from .levels import LevelSet, TileGrid, _path_names, load_level
 from .patterns import (
     FilterDims,
@@ -40,8 +39,8 @@ def _newick_label(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+@record
+class DistanceMatrix(NamedTuple):
     """Weighted divergence d(i,j) = w*kl(i,j) + (1-w)*kl(j,i) between levels."""
 
     names: tuple[str, ...]
@@ -51,8 +50,7 @@ class DistanceMatrix:
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class DendrogramMerge:
+class DendrogramMerge(NamedTuple):
     """One agglomeration step. Ids below n are leaves; merge k of a Dendrogram
     makes cluster n + k."""
 
@@ -61,13 +59,20 @@ class DendrogramMerge:
     height: float
 
 
-@dataclass(frozen=True)
-class Dendrogram:
+@record
+class Dendrogram(NamedTuple):
     """Leaf names and the merges that join them, in merge order; the merges
     are the one record of the tree."""
 
     leaves: tuple[str, ...]
     merges: tuple[DendrogramMerge, ...]
+
+    def _check(self) -> None:
+        n = len(self.leaves)
+        # Each cluster but the root is merged once, after it is made: ids 0 to 2n - 3.
+        made = sorted(c for new, (a, b, _) in enumerate(self.merges, n) for c in (a, b) if c < new)
+        if not n or made != list(range(2 * n - 2)):
+            raise LevelDivError(f"{len(self.merges)} merges do not join {n} leaves into one tree")
 
     def newick(self) -> str:
         """Ultrametric Newick string; leaves sit at half the merge height.
@@ -200,15 +205,13 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class HeatmapCell:
+class HeatmapCell(NamedTuple):
     mean: float
     std: float
     count: int
 
 
-@dataclass(frozen=True)
-class HeatmapTable:
+class HeatmapTable(NamedTuple):
     """Mean weighted divergence per generator (row) and (filter, weight) column."""
 
     rows: tuple[str, ...]

@@ -15,7 +15,7 @@ import csv
 # every command needs it: importing it here keeps that fixed cost in start-up.
 import locale  # noqa: F401
 import os
-import secrets
+import random
 import sys
 from contextlib import ExitStack, contextmanager
 from itertools import chain, count
@@ -183,7 +183,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.trace == "-" and args.out in (None, "-"):
         raise ValueError("--trace - streams to standard output, where the level goes "
                          "too; give --out FILE")
-    seed = args.seed if args.seed is not None else secrets.randbits(64)
+    seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(64)
     flip = Flip(rate=args.flip_rate)  # built under conv too, so a bad rate is always an error
     config = EvolutionConfig(
         divergence=_divergence_config(args),

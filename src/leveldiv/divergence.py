@@ -11,30 +11,28 @@ without renormalization, so they sum to slightly more or less than one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .errors import LevelDivError
+from .errors import LevelDivError, record
 from .patterns import FilterDims, Pattern, PatternDistribution
 
 
-@dataclass(frozen=True)
-class DivergenceConfig:
+@record
+class DivergenceConfig(NamedTuple):
     """The three knobs of the measure: smoothing, window size, direction weight."""
 
     epsilon: float = 1e-5
     dims: FilterDims = FilterDims(4, 4)
     weight: float = 0.5
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_epsilon(self.epsilon)
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"weight must be in [0, 1], got {self.weight}")
 
 
-@dataclass(frozen=True)
-class DivergenceResult:
+class DivergenceResult(NamedTuple):
     """Both directed divergences plus the weighted fitness combining them."""
 
     kl_p_q: float
@@ -42,8 +40,7 @@ class DivergenceResult:
     fitness: float
 
 
-@dataclass(frozen=True)
-class ContributionEntry:
+class ContributionEntry(NamedTuple):
     pattern: Pattern
     p_prime: float
     q_prime: float

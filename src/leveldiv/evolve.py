@@ -22,11 +22,10 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 from .divergence import DivergenceConfig, _smoothed, _summand, weighted_divergence
-from .errors import LevelDivError
+from .errors import LevelDivError, record
 from .levels import LevelSet, TileGrid
 from .patterns import (
     FilterDims,
@@ -38,13 +37,13 @@ from .patterns import (
 )
 
 
-@dataclass(frozen=True)
-class Flip:
+@record
+class Flip(NamedTuple):
     """Resample random cells; `rate` is the expected number of changed tiles."""
 
     rate: float = 3.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ValueError(f"flip rate must be finite and > 0, got {self.rate}")
 
@@ -79,8 +78,7 @@ class Flip:
         return edits
 
 
-@dataclass(frozen=True)
-class Conv:
+class Conv(NamedTuple):
     """Copy one filter-sized patch from a training level into the candidate."""
 
     def edits(
@@ -107,22 +105,22 @@ class Conv:
 MutationKind = Flip | Conv
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
+@record
+class EvolutionConfig(NamedTuple):
     """Settings of one hill-climb run.
 
     `target_height` of None means "same height as the first training level",
     resolved when the run starts.
     """
 
-    divergence: DivergenceConfig = field(default_factory=DivergenceConfig)
+    divergence: DivergenceConfig = DivergenceConfig()
     target_width: int = 30
     target_height: int | None = None
     budget: int = 10_000
     mutation: MutationKind = Conv()
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
 
@@ -132,8 +130,7 @@ class EvolutionConfig:
 MAX_TARGET_CELLS = 65_536
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
+class EvolutionResult(NamedTuple):
     """`trace` is the candidate fitness of every evaluation: entry 0 is the
     initial candidate, then one entry per evaluation. The best fitness so far
     is its running maximum, which always equals the parent's fitness. It is
@@ -145,8 +142,7 @@ class EvolutionResult:
     elapsed: float
 
 
-@dataclass(frozen=True)
-class GridEdit:
+class GridEdit(NamedTuple):
     """Replacement rows for the rectangle whose top-left cell is (x, y)."""
 
     x: int

@@ -10,20 +10,19 @@ read raises `LevelIoError`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import LevelDivError, LevelIoError
+from .errors import LevelDivError, LevelIoError, record
 
 
-@dataclass(frozen=True)
-class TileGrid:
+@record
+class TileGrid(NamedTuple):
     """Immutable rectangular grid of tile symbols, stored as row strings."""
 
     rows: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.rows:
             raise LevelDivError("grid must have at least one row")
         width = len(self.rows[0])
@@ -31,14 +30,10 @@ class TileGrid:
             raise LevelDivError("grid rows must not be empty")
         for i, row in enumerate(self.rows):
             if len(row) != width:
-                raise LevelDivError(
-                    f"row {i} has length {len(row)}, expected {width}"
-                )
-            for ch in row:
-                if not ch.isprintable():
-                    raise LevelDivError(
-                        f"row {i} contains invalid tile symbol {ch!r}"
-                    )
+                raise LevelDivError(f"row {i} has length {len(row)}, expected {width}")
+            if not row.isprintable():
+                bad = next(ch for ch in row if not ch.isprintable())
+                raise LevelDivError(f"row {i} contains invalid tile symbol {bad!r}")
 
     @property
     def width(self) -> int:
@@ -82,14 +77,15 @@ def serialize_level(grid: TileGrid) -> str:
     return "\n".join(grid.rows)
 
 
-@dataclass(frozen=True)
-class LevelSet:
-    """Named levels plus their tile symbols, in order of first occurrence."""
+@record
+class LevelSet(NamedTuple):
+    """Named levels plus their tile symbols, in order of first occurrence.
+    It iterates over, and its length counts, the (name, grid) pairs."""
 
     levels: tuple[tuple[str, TileGrid], ...]
     symbols: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         names = [name for name, _ in self.levels]
         if len(set(names)) != len(names):
             raise LevelDivError(f"duplicate level names: {sorted(names)}")

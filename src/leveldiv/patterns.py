@@ -8,22 +8,21 @@ pattern to its occurrence count.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import LevelDivError
+from .errors import LevelDivError, record
 from .levels import TileGrid
 
 
-@dataclass(frozen=True)
-class FilterDims:
+@record
+class FilterDims(NamedTuple):
     """Window width and height in tiles."""
 
     width: int
     height: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"filter dims must be >= 1, got {self.width}x{self.height}")
 
@@ -42,14 +41,14 @@ class FilterDims:
         return f"{self.width}x{self.height}"
 
 
-@dataclass(frozen=True)
-class Pattern:
+@record
+class Pattern(NamedTuple):
     """One window's cells in row-major order."""
 
     dims: FilterDims
     cells: str
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.cells) != self.dims.width * self.dims.height:
             raise ValueError(
                 f"pattern cells length {len(self.cells)} != {self.dims.width}x{self.dims.height}"
@@ -70,8 +69,7 @@ def window_count(grid_width: int, grid_height: int, dims: FilterDims) -> int:
     return (1 + grid_width - dims.width) * (1 + grid_height - dims.height)
 
 
-@dataclass(frozen=True)
-class PatternDistribution:
+class PatternDistribution(NamedTuple):
     """Occurrence counts of all window patterns of one size.
 
     `counts` maps row-major cell strings to counts >= 1; `total` is the
@@ -125,7 +123,7 @@ def merge_distributions(dists: Iterable[PatternDistribution]) -> PatternDistribu
     counts: dict[str, int] = {}
     total = 0
     for dist in dists:
-        dims = dims or dist.dims
+        dims = dist.dims if dims is None else dims
         if dist.dims != dims:
             raise LevelDivError(f"cannot merge {dist.dims} into {dims} distribution")
         for cells, count in dist.counts.items():

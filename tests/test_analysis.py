@@ -222,6 +222,37 @@ def test_newick_quotes_labels():
     assert Dendrogram(("a b",), ()).newick() == "'a b';"
 
 
+def test_dendrogram_merges_must_join_every_leaf():
+    # n leaves join into one tree in n - 1 merges, each of two clusters made
+    # before it and not merged yet
+    merge = DendrogramMerge(0, 1, 1.0)
+    cases = {
+        (("a", "b"), ()): "0 merges do not join 2 leaves into one tree",
+        ((), ()): "0 merges do not join 0 leaves into one tree",
+        (("a", "b"), (merge, merge)): "2 merges do not join 2 leaves into one tree",
+        (("a", "b", "c"), (merge, merge)): "2 merges do not join 3 leaves into one tree",
+        (("a", "b", "c"), (DendrogramMerge(0, 3, 1.0), merge)): (
+            "2 merges do not join 3 leaves into one tree"
+        ),
+        (("a", "b", "c"), (DendrogramMerge(2, 2, 1.0), merge)): (
+            "2 merges do not join 3 leaves into one tree"
+        ),
+        # every id once, but the first merge takes its own id 3 before it is made
+        (("a", "b", "c"), (DendrogramMerge(3, 2, 1.0), merge)): (
+            "2 merges do not join 3 leaves into one tree"
+        ),
+    }
+    for (leaves, merges), message in cases.items():
+        with pytest.raises(LevelDivError) as err:
+            Dendrogram(leaves, merges)
+        assert str(err.value) == message
+    with pytest.raises(LevelDivError, match="^0 merges do not join 2 leaves into one tree$"):
+        Dendrogram(("a", "b"), (merge,))._replace(merges=())
+    # the same merges in an order that makes each cluster first are a tree
+    Dendrogram(("a", "b", "c"), (merge, DendrogramMerge(3, 2, 1.0)))
+    Dendrogram(("a", "b", "c"), (DendrogramMerge(1, 2, 1.0), DendrogramMerge(0, 3, 1.0)))
+
+
 def test_dendrogram_json():
     dendro = Dendrogram(
         ("a", "b"), (DendrogramMerge(0, 1, 2.5),)

@@ -333,12 +333,19 @@ def test_cluster_cut_and_artifacts(capsys, tmp_path):
 
 
 def test_cli_import_leaves_out_multiprocessing():
+    # A start-up guard: every command pays for what `import leveldiv.cli` loads.
+    # -S keeps out site, whose preloads could hide such an import.
     src = str(Path(leveldiv.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, leveldiv.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    banned = ("multiprocessing", "dataclasses", "inspect", "secrets")
+    probe = (
+        "import sys, leveldiv.cli; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {banned!r}))"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True,
+        timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

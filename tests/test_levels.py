@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leveldiv import (
     LevelDivError,
@@ -49,6 +51,43 @@ def test_parse_rejects_unprintable():
         parse_level("a\tb\nxy z"[:3])  # tab inside a row
     with pytest.raises(LevelDivError, match=r"invalid tile symbol '\\x01'"):
         TileGrid(("a\x01",))
+
+
+def test_unprintable_symbol_messages_name_the_first_one():
+    # rows are checked in order, each for its length and then for its symbols
+    cases = {
+        ("a\x01b\x02", "abcd"): "row 0 contains invalid tile symbol '\\x01'",
+        ("abc", "abc", "ab\u2028"): "row 2 contains invalid tile symbol '\\u2028'",
+        ("abc", "a\x7f\x00", "x"): "row 1 contains invalid tile symbol '\\x7f'",
+        ("ab", "\x00"): "row 1 has length 1, expected 2",
+    }
+    for rows, message in cases.items():
+        with pytest.raises(LevelDivError) as err:
+            TileGrid(rows)
+        assert str(err.value) == message
+
+
+def _per_cell_message(rows):
+    """The grid check's message, found one cell at a time: the reference for its per-row form."""
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            return f"row {i} has length {len(row)}, expected {width}"
+        for ch in row:
+            if not ch.isprintable():
+                return f"row {i} contains invalid tile symbol {ch!r}"
+    return None
+
+
+@given(st.lists(st.text("ab \t\x00\x7f\xa0\u2028é", min_size=1, max_size=4), min_size=1, max_size=4))
+def test_grid_check_matches_the_per_cell_check(rows):
+    expected = _per_cell_message(rows)
+    try:
+        TileGrid(tuple(rows))
+    except LevelDivError as err:
+        assert str(err) == expected
+    else:
+        assert expected is None
 
 
 def test_serialize_inverse_of_parse():
