@@ -2,11 +2,12 @@
 
 A single candidate grid is mutated, evaluated against the merged training
 distribution, and replaced by its child whenever the child's fitness is no
-worse. A child is priced from the windows overlapping the cells it changes:
-their net count changes move two exact integer sums of KL summands, and the
-child is committed only if accepted. The resulting fitness is bit-identical to
-a from-scratch recomputation because both are correctly rounded sums of the
-same terms.
+worse. The climb keeps each window column's strip (its cells, joined top to
+bottom) and re-keys only the rows a child changes, slicing keys from the
+strips; their net count changes move two exact integer sums of KL summands. A
+child is committed only if accepted; one that changes no cell is its parent,
+priced without counting. The resulting fitness is bit-identical to a
+from-scratch recomputation: both are correctly rounded sums of the same terms.
 Each candidate's fitness goes to a caller's sink as soon as it is computed,
 so a long climb need keep no trace; without a sink the trace is collected.
 Training snippets are scored the same way, sliding one column at a time.
@@ -30,10 +31,12 @@ from .levels import LevelSet, TileGrid
 from .patterns import (
     FilterDims,
     PatternDistribution,
+    _spans,
+    _strips,
     _window_keys,
-    extract_distribution,
     level_distributions,
     merge_distributions,
+    window_count,
 )
 
 
@@ -151,9 +154,10 @@ class GridEdit(NamedTuple):
 
 
 class Child(NamedTuple):
-    """A proposed candidate: rows, net count change per key, sums in 2**-bits, fitness."""
+    """A proposed candidate: rows, strips, net count change per key, sums in 2**-bits, fitness."""
 
     rows: list[str]
+    strips: list[str]
     delta: dict[str, int]
     bits: int
     sum_p_q: int
@@ -183,6 +187,9 @@ class CandidateCounts:
     pair's first use and is memoised. Dividing a sum by 2**bits rounds once,
     correctly, giving the bits of math.fsum over the same terms in any order,
     so the incremental fitness equals the from-scratch one by construction.
+    Each window column's strip (`patterns._strips`) is kept; a window's key is
+    one slice of it, so `propose` joins anew only the rows a child changes. A
+    child that changes no cell shares the state's rows, strips and sums.
     """
 
     def __init__(self, grid: TileGrid, training: PatternDistribution, config: DivergenceConfig):
@@ -194,8 +201,8 @@ class CandidateCounts:
         self.training = training
         self.width, self.height = grid.width, grid.height
         self.rows: list[str] = list(grid.rows)
-        dist = extract_distribution(grid, config.dims)
-        self.total = dist.total
+        dims = config.dims
+        self.total = window_count(self.width, self.height, dims)
         self._summands = _Memo(self._exact_summands)
         # Start from an empty candidate, whose sums hold only training-side
         # summands, and commit the grid's counts as one delta.
@@ -204,7 +211,9 @@ class CandidateCounts:
         for count in training.counts.values():  # memoise first: it can refine the unit
             self._summands[count, 0]
         self.sum_p_q = sum(self._summands[count, 0][0] for count in training.counts.values())
-        self.commit(self._child(self.rows, dict(dist.counts)))
+        strips = list(_strips(self.rows, range(self.width - dims.width + 1), dims.width))
+        counts = Counter(_window_keys(strips, dims, self.height))
+        self.commit(self._child(self.rows, strips, counts))
 
     def _exact_summands(self, pair: tuple[int, int]) -> tuple[int, int]:
         """(p-to-q, q-to-p) summands, in units of 2**-bits, of a pattern with these
@@ -238,12 +247,13 @@ class CandidateCounts:
         return TileGrid(tuple(self.rows))
 
     def propose(self, edits: Iterable[GridEdit]) -> Child:
-        """The child made by `edits`, applied in order to a copy of the rows; only
-        the windows overlapping the cells an edit changes are keyed, before and
-        after it. An edit that changes no cell is skipped."""
-        rows = self.rows.copy()
-        removed: Counter[str] = Counter()
-        added: Counter[str] = Counter()
+        """The child made by `edits`, applied in order to copies of the rows and
+        strips. An edit that changes no cell is skipped; for the others, the keys
+        of the windows over the cells they change are sliced from the strips,
+        before and after the changed rows are spliced into them."""
+        rows, strips = self.rows, self.strips
+        gone: list[str] = []
+        new: list[str] = []
         dims = self.config.dims
         fw, fh = dims.width, dims.height
         for edit in edits:
@@ -265,20 +275,29 @@ class CandidateCounts:
                 i0, i1, j0, j1 = changed[0], changed[-1] + 1, min(cols), max(cols) + 1
                 x, y, ew, eh = x + j0, y + i0, j1 - j0, i1 - i0
                 patch = [patch_row[j0:j1] for patch_row in patch[i0:i1]]
-            xs = range(max(0, x - fw + 1), min(self.width - fw, x + ew - 1) + 1)
-            top, bottom = max(0, y - fh + 1), min(self.height, y + eh + fh - 1)
-            removed.update(_window_keys(rows[top:bottom], xs, dims))
+            if rows is self.rows:  # the first change: the state's lists stay as they are
+                rows, strips = rows.copy(), strips.copy()
+            x0, x1 = max(0, x - fw + 1), min(self.width - fw, x + ew - 1) + 1
+            spans = _spans(dims, range(max(0, y - fh + 1), min(self.height - fh, y + eh - 1) + 1))
             for i, patch_row in enumerate(patch):
                 row = rows[y + i]
                 rows[y + i] = row[:x] + patch_row + row[x + ew :]
-            added.update(_window_keys(rows[top:bottom], xs, dims))
+            edited, head, tail = rows[y : y + eh], y * fw, (y + eh) * fw
+            for c, middle in enumerate(_strips(edited, range(x0, x1), fw), x0):
+                strip = strips[c]
+                gone += [strip[s] for s in spans]
+                strips[c] = strip = strip[:head] + middle + strip[tail:]
+                new += [strip[s] for s in spans]
+        if rows is self.rows:
+            return Child(rows, strips, {}, self.bits, self.sum_p_q, self.sum_q_p, self.fitness())
         # Each edit's windows are counted out before it and in after it, so over
-        # all the edits the net change telescopes to added minus removed.
-        added.subtract(removed)
-        return self._child(rows, added)
+        # all the edits the net change telescopes to new minus gone.
+        delta = Counter(new)
+        delta.subtract(gone)
+        return self._child(rows, strips, delta)
 
-    def _child(self, rows: list[str], delta: dict[str, int]) -> Child:
-        """The child with these rows, whose counts differ from the state's by `delta`."""
+    def _child(self, rows: list[str], strips: list[str], delta: dict[str, int]) -> Child:
+        """The child with these rows and strips; its counts differ from the state's by `delta`."""
         bits, sum_p_q, sum_q_p = self.bits, self.sum_p_q, self.sum_q_p
         get_q, get_p = self.counts.get, self.training.counts.get
         summands = self._summands
@@ -290,8 +309,8 @@ class CandidateCounts:
                 sum_p_q += new_p_q - old_p_q
                 sum_q_p += new_q_p - old_q_p
         if self.bits != bits:  # a new summand refined the unit part-way: add up again
-            return self._child(rows, delta)
-        return Child(rows, delta, bits, sum_p_q, sum_q_p, self._fitness(sum_p_q, sum_q_p))
+            return self._child(rows, strips, delta)
+        return Child(rows, strips, delta, bits, sum_p_q, sum_q_p, self._fitness(sum_p_q, sum_q_p))
 
     def commit(self, child: Child) -> None:
         """Adopt a child proposed from the current state."""
@@ -301,7 +320,7 @@ class CandidateCounts:
                 counts[key] = count = counts.get(key, 0) + change
                 if not count:
                     del counts[key]
-        self.rows = child.rows
+        self.rows, self.strips = child.rows, child.strips
         # A later proposal may have made the unit finer since this one.
         self.sum_p_q = child.sum_p_q << (self.bits - child.bits)
         self.sum_q_p = child.sum_q_p << (self.bits - child.bits)
@@ -392,12 +411,14 @@ def snippet_fitness(
         state = CandidateCounts(grid.crop(0, 0, snippet_width, grid.height), p_dist, config)
         results.append((0, state.fitness()))
         for offset in range(1, grid.width - snippet_width + 1):
-            # One step right: the strip of windows at column offset-1 leaves,
-            # and the one ending at the snippet's new right edge enters.
-            delta = Counter(_window_keys(grid.rows, [offset + snippet_width - dims.width], dims))
-            delta.subtract(_window_keys(grid.rows, [offset - 1], dims))
+            # One step right: the first strip, whose keys are the windows at
+            # column offset-1, leaves, and the one at the new right edge enters.
+            strips = state.strips[1:]
+            strips += _strips(grid.rows, [offset + snippet_width - dims.width], dims.width)
+            delta = Counter(_window_keys(strips[-1:], dims, grid.height))
+            delta.subtract(_window_keys(state.strips[:1], dims, grid.height))
             rows = [row[offset : offset + snippet_width] for row in grid.rows]
-            child = state._child(rows, delta)
+            child = state._child(rows, strips, delta)
             state.commit(child)
             results.append((offset, child.fitness))
     return results

@@ -85,23 +85,27 @@ class PatternDistribution(NamedTuple):
         return len(self.counts)
 
 
-def _window_keys(rows: Sequence[str], xs: Iterable[int], dims: FilterDims) -> Iterator[str]:
-    """Row-major keys of the windows of `dims` at columns `xs` of `rows`, column by column.
+def _strips(rows: Sequence[str], xs: Iterable[int], width: int) -> Iterator[str]:
+    """Each column x of `xs` as a strip: the rows' cells [x, x + width), joined top to bottom."""
+    return ("".join([row[x : x + width] for row in rows]) for x in xs)
 
-    Each column's strip joins the rows' slices [x, x + width), so the key of the
-    window at row y is the one slice strip[y * width : (y + height) * width].
-    """
-    fw, fh = dims.width, dims.height
-    spans = [slice(y * fw, (y + fh) * fw) for y in range(len(rows) - fh + 1)]
-    return chain.from_iterable(
-        map("".join([row[x : x + fw] for row in rows]).__getitem__, spans) for x in xs
-    )
+
+def _spans(dims: FilterDims, ys: Iterable[int]) -> list[slice]:
+    """Slices of a strip holding the windows at rows `ys`: [y * width, (y + height) * width)."""
+    return [slice(y * dims.width, (y + dims.height) * dims.width) for y in ys]
+
+
+def _window_keys(strips: Iterable[str], dims: FilterDims, height: int) -> Iterator[str]:
+    """Row-major keys of the windows in strips of `height` rows, strip by strip."""
+    spans = _spans(dims, range(height - dims.height + 1))
+    return chain.from_iterable(map(strip.__getitem__, spans) for strip in strips)
 
 
 def extract_distribution(grid: TileGrid, dims: FilterDims) -> PatternDistribution:
     """Count every window of `dims` in `grid` (stride 1, windows fully inside)."""
     total = window_count(grid.width, grid.height, dims)
-    counts = Counter(_window_keys(grid.rows, range(grid.width - dims.width + 1), dims))
+    strips = _strips(grid.rows, range(grid.width - dims.width + 1), dims.width)
+    counts = Counter(_window_keys(strips, dims, grid.height))
     return PatternDistribution(dims, counts, total)
 
 

@@ -54,6 +54,12 @@ def _scratch(p_dist, grid, config):
     return fitness(p_dist, extract_distribution(grid, config.dims), config).fitness
 
 
+def _strips(rows, dims):
+    """Each window column's cells joined top to bottom, rebuilt from `rows`."""
+    return ["".join(row[x : x + dims.width] for row in rows)
+            for x in range(len(rows[0]) - dims.width + 1)]
+
+
 def _mutated(mutation, grid, training, dims, rng):
     """The child hill_climb would evaluate: one mutation applied to `grid`."""
     state = _state(grid, training, dims)
@@ -215,10 +221,10 @@ def test_candidate_counts_propose_and_commit():
         patch = tuple(
             "".join(rng.choice("ab-") for _ in range(ew)) for _ in range(eh)
         )
-        rows, counts, fit = list(state.rows), dict(state.counts), state.fitness()
+        before = list(state.rows), list(state.strips), dict(state.counts), state.fitness()
         child = state.propose([GridEdit(x, y, patch)])
-        # Proposing leaves the state as it was.
-        assert (state.rows, state.counts, state.fitness()) == (rows, counts, fit)
+        # Proposing leaves the state as it was, strips included.
+        assert (state.rows, state.strips, state.counts, state.fitness()) == before
         if step % 2:
             continue
         state.commit(child)
@@ -293,6 +299,7 @@ def test_candidate_counts_propose_at_clamped_edges():
             assert child.fitness.hex() == _scratch(p_dist, child_grid, config).hex()
             state.commit(child)
             assert state.counts == extract_distribution(child_grid, dims).counts
+            assert state.strips == _strips(state.rows, dims)
 
 
 def test_candidate_counts_propose_keys_only_windows_over_changed_cells(mario_1_1):
@@ -312,6 +319,12 @@ def test_candidate_counts_propose_keys_only_windows_over_changed_cells(mario_1_1
     assert not any(same.delta.values())
     assert same.rows == state.rows
     assert same.fitness == state.fitness()
+    # Committing it leaves the whole state as it was.
+    before = (list(state.rows), list(state.strips), dict(state.counts), state.bits,
+              state.sum_p_q, state.sum_q_p)
+    state.commit(same)
+    assert (state.rows, state.strips, state.counts, state.bits,
+            state.sum_p_q, state.sum_q_p) == before
 
 
 def test_candidate_counts_rejects_out_of_bounds_edit():
@@ -407,10 +420,12 @@ def test_incremental_fitness_equals_scratch_under_random_edits(data):
         child = state.propose(edits)
         assert child.rows == _applied(state.rows, edits)
         assert child.fitness.hex() == _scratch(p_dist, TileGrid(tuple(child.rows)), config).hex()
+        assert child.strips == _strips(child.rows, dims)
         if accept:
             state.commit(child)
         assert state.fitness().hex() == _scratch(p_dist, state.grid(), config).hex()
         assert state.counts == extract_distribution(state.grid(), dims).counts
+        assert state.strips == _strips(state.rows, dims)
 
 
 def test_candidate_counts_dims_guard():
@@ -588,7 +603,8 @@ def test_snippet_fitness_multiple_levels():
     smb = LevelSet.from_grids(
         (name, load_smb_level(name)) for name in ("mario-1-2", "mario-1-3", "mario-4-2")
     )
-    for levels, width, weight in ((training, 4, 0.5), (smb, 20, 0.3)):
+    # Width 2 equals the filter's, so each state holds a single strip.
+    for levels, width, weight in ((training, 4, 0.5), (training, 2, 0.5), (smb, 20, 0.3)):
         config = DivergenceConfig(dims=FilterDims(2, 2), weight=weight)
         p_dist = merge_distributions(extract_distribution(g, config.dims) for g in levels.grids)
         expected = [
