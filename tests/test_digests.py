@@ -79,11 +79,9 @@ def test_digests_cover_every_case():
     assert sorted(_recorded()["digests"]) == sorted(name for name, _, _ in CASES)
 
 
-@pytest.mark.parametrize("argv, flags", [case[1:] for case in CASES],
-                         ids=[case[0] for case in CASES])
-def test_seeded_output_digest(request, argv, flags, tmp_path, capsys):
+@pytest.mark.parametrize("name, argv, flags", CASES, ids=[case[0] for case in CASES])
+def test_seeded_output_digest(name, argv, flags, tmp_path):
     recorded = _recorded()
-    name = request.node.callspec.id
     assert output_digests(argv, flags, tmp_path) == recorded["digests"][name], (
         f"output of {name} changed; digests recorded on {recorded['platform']}, "
         f"running on {platform_record()}"
