@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import statistics
 
 import pytest
 
@@ -17,6 +18,7 @@ from leveldiv import (
     TileGrid,
     average_linkage,
     compare_sets,
+    contributions,
     cut_dendrogram,
     extract_distribution,
     fitness,
@@ -28,6 +30,7 @@ from leveldiv import (
     serialize_level,
 )
 from leveldiv.analysis import _newick_label
+from leveldiv.divergence import weighted_divergence
 from leveldiv.evolve import random_init
 from conftest import filled
 from oracles import (
@@ -422,6 +425,38 @@ def test_compare_sets_argument_validation(tmp_path):
         compare_sets(training, [tmp_path / "gen"], [FilterDims(2, 2)] * 2, [0.5])
     with pytest.raises(ValueError, match="duplicate compare column 2x2_0.5"):
         compare_sets(training, [tmp_path / "gen"], [FilterDims(2, 2)], [0.5, 0.5000001])
+
+
+def _per_pattern_kl(p, q, epsilon=1e-5):
+    """kl(p, q) as the correctly rounded sum of its per-pattern contributions."""
+    return math.fsum(entry.summand for entry in contributions(p, q, epsilon))
+
+
+def test_directions_match_a_per_pattern_reference(tmp_path):
+    # At w = 0.5 the matrix is symmetric, where a swap of directions would not show.
+    corpus = load_smb_corpus()
+    dims = FilterDims(2, 2)
+    levels = LevelSet.from_grids(corpus.levels[:4])
+    dists = [extract_distribution(g, dims) for g in levels.grids]
+    matrix = pairwise_matrix(levels, DivergenceConfig(dims=dims, weight=0.3))
+    for i, p in enumerate(dists):
+        for j, q in enumerate(dists):
+            if i != j:
+                want = weighted_divergence(_per_pattern_kl(p, q), _per_pattern_kl(q, p), 0.3)
+                assert matrix.values[i][j].hex() == want.hex(), (i, j)
+    training = LevelSet.from_grids(corpus.levels[4:7])
+    generated = corpus.levels[7:11]
+    _write_levels(tmp_path / "gen", generated)
+    table = compare_sets(training, [tmp_path / "gen"], [dims], [0.0, 1.0])
+    p = merge_distributions([extract_distribution(g, dims) for g in training.grids])
+    qs = [extract_distribution(g, dims) for _, g in generated]
+    for cell, weight in zip(table.cells[0], (0.0, 1.0)):
+        values = [
+            weighted_divergence(_per_pattern_kl(p, q), _per_pattern_kl(q, p), weight) for q in qs
+        ]
+        assert cell.mean.hex() == statistics.fmean(values).hex()
+        assert cell.std.hex() == statistics.pstdev(values).hex()
+        assert cell.count == len(qs)
 
 
 def test_pairwise_matrix_identical_levels_are_zero():

@@ -520,6 +520,45 @@ def test_exit_code_usage_errors(capsys):
     assert out == ""
 
 
+def test_tiny_epsilon_error_names_the_window_total_read_first(capsys, tmp_path):
+    # At 5e-324, P' of an unseen pattern underflows to 0 for every level of
+    # more than one window. The error names the level whose unseen P' the
+    # divergences read first; a level of one 4x4 window never fails.
+    one = tmp_path / "one.txt"
+    one.write_text("X-X-\n-XX-\nXX--\n--XX\n")
+    m11, m12, m13 = (str(smb_level_path(f"mario-1-{i}")) for i in (1, 2, 3))
+    gen, small, missing = tmp_path / "gen", tmp_path / "small", tmp_path / "missing"
+    gen.mkdir()
+    small.mkdir()
+    (gen / "a.txt").write_bytes(smb_level_path("mario-1-2").read_bytes())
+    (small / "one.txt").write_bytes(one.read_bytes())
+    # 4x4 window totals: mario-1-1 2486, mario-1-2 1782, mario-1-3 1727
+    cases = [
+        (("analyze", m11, m12), 1782),
+        (("analyze", m11, str(one)), 2486),
+        (("analyze", str(one), m11), 2486),
+        (("cluster", m11, m12, m13), 1782),
+        (("cluster", m11, str(one), m13), 1727),
+        (("cluster", m11, str(one)), 2486),
+        (("compare", str(gen), "--training", m11), 1782),
+        (("compare", str(small), "--training", m11, "--filters", "4x4"), 2486),
+        # gen is scored before the missing directory is read
+        (("compare", str(gen), str(missing), "--training", m11), 1782),
+    ]
+    for argv, total in cases:
+        code, out, err = _run(capsys, *argv, "--epsilon", "5e-324")
+        assert (code, out) == (1, ""), argv
+        assert err == (
+            f"leveldiv: error: epsilon 5e-324 is too small for a window total of {total}: "
+            "P' underflows to 0\n"
+        ), argv
+    # the directory is read before anything is scored against the training set
+    code, out, err = _run(capsys, "compare", str(missing), "--training", m11,
+                          "--epsilon", "5e-324")
+    assert (code, out) == (3, "")
+    assert f"leveldiv: i/o error: cannot read level directory {missing}: " in err
+
+
 def test_positive_int_flags_are_usage_errors(capsys):
     path, other = (str(smb_level_path(name)) for name in ("mario-1-1", "mario-1-2"))
     for argv in (

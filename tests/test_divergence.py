@@ -234,14 +234,84 @@ def test_contributions_self_all_zero():
     assert all(entry.summand == 0.0 for entry in report)
 
 
+def _fsum_of_contributions(p, q, eps):
+    """kl(p, q) as the correctly rounded sum of its per-pattern contributions."""
+    return math.fsum(entry.summand for entry in contributions(p, q, eps))
+
+
 def test_contributions_sum_to_kl():
     rng = random.Random(47)
     for _ in range(100):
         p, q = _random_pair(rng, 2, 2)
-        report = contributions(p, q, 1e-5)
-        value = kl_div(p, q, 1e-5)
-        total = sum(entry.summand for entry in report)
-        assert total == pytest.approx(value, rel=1e-12, abs=1e-15)
+        for a, b in ((p, q), (q, p)):
+            assert _fsum_of_contributions(a, b, 1e-5).hex() == kl_div(a, b, 1e-5).hex()
+
+
+@st.composite
+def _count_pairs(draw):
+    """(p, q) count maps: unrelated, with disjoint supports, equal, q's support
+    inside p's, or q empty."""
+    p = draw(_COUNTS)
+    shape = draw(st.sampled_from(("any", "disjoint", "equal", "subset", "empty")))
+    if shape == "any":
+        q = draw(_COUNTS)
+    elif shape == "disjoint":
+        q = {cells.upper(): count for cells, count in draw(_COUNTS).items()}
+    elif shape == "equal":
+        q = dict(p)
+    elif shape == "subset":
+        kept = draw(st.lists(st.sampled_from(sorted(p)), min_size=1, unique=True))
+        q = {cells: draw(st.sampled_from((p[cells], 1, 1000))) for cells in kept}
+    else:
+        q = {}
+    return p, q
+
+
+@_PROPERTY_SETTINGS
+@given(pair=_count_pairs(), eps=_EPSILONS)
+def test_kl_is_the_fsum_of_contributions_bit_for_bit(pair, eps):
+    p, q = map(_counted, pair)
+    forward = _fsum_of_contributions(p, q, eps)
+    assert kl_div(p, q, eps).hex() == forward.hex()
+    config = DivergenceConfig(epsilon=eps, dims=p.dims, weight=0.25)
+    if not q.counts:
+        for measure in (lambda: kl_div(q, p, eps), lambda: fitness(p, q, config)):
+            with pytest.raises(LevelDivError, match="first distribution has no patterns"):
+                measure()
+        return
+    backward = _fsum_of_contributions(q, p, eps)
+    assert kl_div(q, p, eps).hex() == backward.hex()
+    result = fitness(p, q, config)
+    assert (result.kl_p_q.hex(), result.kl_q_p.hex()) == (forward.hex(), backward.hex())
+
+
+def test_errors_come_in_the_order_the_directions_read_them():
+    dims = FilterDims(1, 2)
+    nine = PatternDistribution(dims, {"ab": 3, "bc": 1, "cc": 5}, 9)
+    one = PatternDistribution(dims, {"ab": 1}, 1)
+    empty = PatternDistribution(dims, {}, 0)
+    eps = 5e-324
+    config = DivergenceConfig(epsilon=eps, dims=dims)
+    # P' of an unseen pattern underflows out of 9 windows but not out of 1, so
+    # only a direction that reads nine's unseen P' fails.
+    for p, q in ((nine, one), (nine, empty)):
+        value = kl_div(p, q, eps)
+        assert value.hex() == _fsum_of_contributions(p, q, eps).hex()
+        assert value == pytest.approx(float(mp_kl(p.counts, p.total, q.counts, q.total, eps)))
+    underflow = "epsilon 5e-324 is too small for a window total of 9: P' underflows to 0"
+    for measure in (
+        lambda: kl_div(one, nine, eps),
+        lambda: contributions(one, nine, eps),
+        lambda: fitness(nine, one, config),
+        lambda: fitness(one, nine, config),
+    ):
+        with pytest.raises(ValueError, match=re.escape(underflow)):
+            measure()
+    # An empty second distribution fails as the first of the reverse
+    # direction, before that direction reads nine's unseen P'.
+    for measure in (lambda: fitness(nine, empty, config), lambda: kl_div(empty, nine, eps)):
+        with pytest.raises(LevelDivError, match="first distribution has no patterns"):
+            measure()
 
 
 def test_contributions_sorted_and_deterministic():
