@@ -16,7 +16,14 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .divergence import DivergenceConfig, kl_div, weighted_divergence
+from .divergence import (
+    DivergenceConfig,
+    _check_unseen,
+    _divergences,
+    _table,
+    _Table,
+    weighted_divergence,
+)
 from .errors import LevelDivError, LevelIoError, record
 from .levels import LevelSet, TileGrid, _path_names, load_level
 from .patterns import (
@@ -107,8 +114,9 @@ class Dendrogram(NamedTuple):
 def pairwise_matrix(levels: LevelSet, config: DivergenceConfig) -> DistanceMatrix:
     """Weighted divergence between every ordered level pair; zero diagonal.
 
-    Each level's distribution is extracted once and each directed divergence
-    is computed once.
+    Each level's distribution and divergence table are made once, and each
+    unordered pair's two directed divergences come from one pass over the
+    patterns the pair shares.
     """
     if len(levels) < 2:
         raise LevelDivError("pairwise matrix needs at least 2 levels")
@@ -120,10 +128,13 @@ def pairwise_matrix(levels: LevelSet, config: DivergenceConfig) -> DistanceMatri
         dists.append(PatternDistribution(dist.dims, counts, dist.total))
     del keys
     n = len(dists)
-    directed = [
-        [0.0 if i == j else kl_div(dists[i], dists[j], config.epsilon) for j in range(n)]
-        for i in range(n)
-    ]
+    tables = [_table(dist, config.epsilon) for dist in dists]
+    # The ordered pairs (0, 1), ..., (0, n - 1), (1, 0) read the unseen P' of
+    # levels 1 to n - 1 first, then level 0's.
+    _check_unseen(*tables[1:], tables[0])
+    directed = [[0.0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        directed[i][j], directed[j][i] = _divergences(tables[i], tables[j])
     w = config.weight
     values = tuple(
         tuple(
@@ -249,6 +260,12 @@ def _load_directory(
     return levels, skipped
 
 
+def _both_ways(p: _Table, q: _Table) -> tuple[float, float]:
+    """kl(p, q) and kl(q, p). kl(p, q) reads q's unseen P', and kl(q, p) then p's."""
+    _check_unseen(q, p)
+    return _divergences(p, q)
+
+
 def compare_sets(
     training: LevelSet,
     generated_dirs: Sequence[str | os.PathLike],
@@ -281,20 +298,20 @@ def compare_sets(
             raise ValueError(f"duplicate compare column {name}")
     paths = [os.fspath(directory) for directory in generated_dirs]
     rows = _path_names(paths, [os.path.basename(os.path.abspath(p)) for p in paths], "directory")
-    training_dists = {
-        dims: merge_distributions(level_distributions(training, dims))
+    training_tables = {
+        dims: _table(merge_distributions(level_distributions(training, dims)), epsilon)
         for dims in filters
     }
+    # Scoring reads only the tables; where the caller kept no reference of
+    # its own, the training grids are freed before any directory is read.
+    del training
     loaded = []
     for path in paths:
         levels, skip = _load_directory(path, filters)
         # Both directions once per level and filter, shared by every weight.
         directed = {
-            dims: [
-                (kl_div(p, q, epsilon), kl_div(q, p, epsilon))
-                for q in level_distributions(levels, dims)
-            ]
-            for dims, p in training_dists.items()
+            dims: [_both_ways(p, _table(q, epsilon)) for q in level_distributions(levels, dims)]
+            for dims, p in training_tables.items()
         }
         loaded.append((directed, skip))
     # Cells are built once every directory is scored: building them in between

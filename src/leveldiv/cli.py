@@ -234,10 +234,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    training = _read_level_set(args.training)
     filters = args.filters or [FilterDims(4, 4)]
     weights = args.weights or [0.5]
-    table = compare_sets(training, args.dirs, filters, weights, epsilon=args.epsilon)
+    table = compare_sets(
+        _read_level_set(args.training), args.dirs, filters, weights, epsilon=args.epsilon
+    )
     for name, skipped in zip(table.rows, table.skipped):
         if skipped:
             print(f"warning: skipped {skipped} unusable file(s) in {name}",

@@ -208,9 +208,11 @@ class CandidateCounts:
         # summands, and commit the grid's counts as one delta.
         self.counts: dict[str, int] = {}
         self.bits = self.sum_p_q = self.sum_q_p = 0
-        for count in training.counts.values():  # memoise first: it can refine the unit
+        # Training patterns with one count share a summand: n of them add n times it.
+        seen = Counter(training.counts.values())
+        for count in seen:  # memoise first: it can refine the unit
             self._summands[count, 0]
-        self.sum_p_q = sum(self._summands[count, 0][0] for count in training.counts.values())
+        self.sum_p_q = sum(n * self._summands[count, 0][0] for count, n in seen.items())
         strips = list(_strips(self.rows, range(self.width - dims.width + 1), dims.width))
         counts = Counter(_window_keys(strips, dims, self.height))
         self.commit(self._child(self.rows, strips, counts))
