@@ -11,12 +11,6 @@ from .analysis import (
     cut_dendrogram,
     pairwise_matrix,
 )
-from .corpus import (
-    SMB_LEVEL_TYPES,
-    load_smb_corpus,
-    load_smb_level,
-    smb_level_path,
-)
 from .divergence import (
     ContributionEntry,
     DivergenceConfig,
@@ -72,7 +66,6 @@ __all__ = [
     "LevelSet",
     "Pattern",
     "PatternDistribution",
-    "SMB_LEVEL_TYPES",
     "TileGrid",
     "average_linkage",
     "compare_sets",
@@ -83,12 +76,9 @@ __all__ = [
     "hill_climb",
     "kl_div",
     "load_level",
-    "load_smb_corpus",
-    "load_smb_level",
     "merge_distributions",
     "pairwise_matrix",
     "parse_level",
     "serialize_level",
-    "smb_level_path",
     "snippet_fitness",
 ]

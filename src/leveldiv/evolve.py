@@ -9,7 +9,7 @@ child is committed only if accepted; one that changes no cell is its parent,
 priced without counting. The resulting fitness is bit-identical to a
 from-scratch recomputation: both are correctly rounded sums of the same terms.
 Each candidate's fitness goes to a caller's sink as soon as it is computed,
-so a long climb need keep no trace; without a sink the trace is collected.
+so the climb keeps no trace.
 Training snippets are scored the same way, sliding one column at a time.
 
 Randomness comes from `random.Random` (Mersenne Twister); a fixed seed
@@ -134,14 +134,11 @@ MAX_TARGET_CELLS = 65_536
 
 
 class EvolutionResult(NamedTuple):
-    """`trace` is the candidate fitness of every evaluation: entry 0 is the
-    initial candidate, then one entry per evaluation. The best fitness so far
-    is its running maximum, which always equals the parent's fitness. It is
-    empty when the run was given a sink, which received those values instead."""
+    """The final parent, its fitness (the maximum of every value the run's sink
+    received) and the run's wall time in seconds."""
 
     best: TileGrid
     best_fitness: float
-    trace: tuple[float, ...]
     elapsed: float
 
 
@@ -340,15 +337,15 @@ def random_init(
 def hill_climb(
     training: LevelSet,
     config: EvolutionConfig,
-    sink: Callable[[float], object] | None = None,
+    sink: Callable[[float], object],
 ) -> EvolutionResult:
     """Run the (1+1) climber: mutate, evaluate, keep the child when no worse.
 
     The training distribution is merged once up front; the initial candidate's
-    evaluation is passed to `sink` first (trace index 0) and does not count
+    fitness is passed to `sink` first (trace index 0) and does not count
     against the budget, then each evaluation's fitness as soon as it is
-    computed. Without a sink they are collected into `EvolutionResult.trace`;
-    with one, `trace` is empty and the climb keeps no per-evaluation state.
+    computed, so `sink` receives budget + 1 values and the climb keeps no
+    per-evaluation state. The best fitness so far is their running maximum.
     Each child is priced by CandidateCounts.propose and committed only when
     accepted, so a rejected child leaves nothing to undo. A target of more
     than MAX_TARGET_CELLS cells is a ValueError; a training level or a target
@@ -367,9 +364,6 @@ def hill_climb(
         )
     dims = config.divergence.dims
     p_dist = merge_distributions(level_distributions(training, dims))
-    trace: list[float] = []
-    if sink is None:
-        sink = trace.append
     rng = random.Random(config.seed)
     grid = random_init(training.symbols, config.target_width, height, rng)
     state = CandidateCounts(grid, p_dist, config.divergence)
@@ -382,9 +376,7 @@ def hill_climb(
             state.commit(child)
             parent_fitness = child.fitness
         sink(child.fitness)
-    return EvolutionResult(
-        state.grid(), parent_fitness, tuple(trace), time.perf_counter() - start
-    )
+    return EvolutionResult(state.grid(), parent_fitness, time.perf_counter() - start)
 
 
 def snippet_fitness(

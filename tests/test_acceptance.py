@@ -18,7 +18,6 @@ from leveldiv import (
     FilterDims,
     Flip,
     LevelSet,
-    SMB_LEVEL_TYPES,
     TileGrid,
     average_linkage,
     cut_dendrogram,
@@ -27,10 +26,10 @@ from leveldiv import (
     hill_climb,
     kl_div,
     load_level,
-    load_smb_corpus,
     pairwise_matrix,
     snippet_fitness,
 )
+from bundled import SMB_LEVEL_TYPES, load_smb_corpus
 from leveldiv.evolve import CandidateCounts, random_init
 from oracles import mp_fitness, mp_kl, random_rows
 
@@ -48,7 +47,21 @@ def training_set(mario_1_1):
     return LevelSet.from_grids([("mario-1-1", mario_1_1)])
 
 
+def _climb(training, config):
+    """(initial fitness, result) of one run: the sink keeps only the first
+    value it receives, the initial candidate's fitness."""
+    received = []
+
+    def sink(fitness):
+        if not received:
+            received.append(fitness)
+
+    result = hill_climb(training, config, sink)
+    return received[0], result
+
+
 def _run_batch(training, dims, mutation, seeds, weight=0.5):
+    """(initial fitness, result) per seed."""
     results = []
     for seed in seeds:
         config = EvolutionConfig(
@@ -59,7 +72,7 @@ def _run_batch(training, dims, mutation, seeds, weight=0.5):
             mutation=mutation,
             seed=seed,
         )
-        results.append(hill_climb(training, config))
+        results.append(_climb(training, config))
     return results
 
 
@@ -81,10 +94,6 @@ def conv2_runs(training_set):
 @pytest.fixture(scope="session")
 def flip2_runs(training_set):
     return _run_batch(training_set, FilterDims(2, 2), Flip(rate=3.0), range(20))
-
-
-def _initial(result):
-    return result.trace[0]
 
 
 def test_criterion_1_pattern_count_fixtures(mario_1_1):
@@ -139,19 +148,19 @@ def test_criterion_3_mutation_operator_contrast(
 ):
     total_elapsed = sum(
         r.elapsed for batch in (conv4_runs, flip4_runs, conv2_runs, flip2_runs)
-        for r in batch
+        for _, r in batch
     )
-    conv4_improved = sum(1 for r in conv4_runs if r.best_fitness > _initial(r))
+    conv4_improved = sum(1 for initial, r in conv4_runs if r.best_fitness > initial)
     conv4_median_gain = statistics.median(
-        r.best_fitness - _initial(r) for r in conv4_runs
+        r.best_fitness - initial for initial, r in conv4_runs
     )
     flip4_median_gain = statistics.median(
-        r.best_fitness - _initial(r) for r in flip4_runs
+        r.best_fitness - initial for initial, r in flip4_runs
     )
-    conv4_median = statistics.median(r.best_fitness for r in conv4_runs)
-    conv2_median = statistics.median(r.best_fitness for r in conv2_runs)
-    flip4_median = statistics.median(r.best_fitness for r in flip4_runs)
-    flip2_median = statistics.median(r.best_fitness for r in flip2_runs)
+    conv4_median = statistics.median(r.best_fitness for _, r in conv4_runs)
+    conv2_median = statistics.median(r.best_fitness for _, r in conv2_runs)
+    flip4_median = statistics.median(r.best_fitness for _, r in flip4_runs)
+    flip2_median = statistics.median(r.best_fitness for _, r in flip2_runs)
     ok = (
         conv4_improved >= 19
         and flip4_median_gain < 0.1 * conv4_median_gain
@@ -173,7 +182,7 @@ def test_criterion_3_mutation_operator_contrast(
 def test_criterion_4_beats_training_snippets(training_set, conv4_runs):
     config = DivergenceConfig(dims=FilterDims(4, 4))
     best_snippet = max(value for _, value in snippet_fitness(training_set, 30, config))
-    wins = sum(1 for r in conv4_runs if r.best_fitness >= best_snippet)
+    wins = sum(1 for _, r in conv4_runs if r.best_fitness >= best_snippet)
     ok = wins >= 10
     _criterion(
         4,
@@ -205,10 +214,10 @@ def test_criterion_5_asymmetry_behavior(training_set):
         runs = _run_batch(training_set, dims, Conv(), range(10), weight=weight)
         stats[weight] = (
             statistics.fmean(
-                _novel_window_fraction(r.best, training_dist, dims) for r in runs
+                _novel_window_fraction(r.best, training_dist, dims) for _, r in runs
             ),
             statistics.fmean(
-                _training_coverage(r.best, training_dist, dims) for r in runs
+                _training_coverage(r.best, training_dist, dims) for _, r in runs
             ),
         )
     novel_0, coverage_0 = stats[0.0]
@@ -226,8 +235,8 @@ def test_criterion_6_performance_envelope(mario_1_1, conv4_runs, conv2_runs):
     start = time.perf_counter()
     extract_distribution(mario_1_1, FilterDims(4, 4))
     training_ms = (time.perf_counter() - start) * 1000.0
-    time_4x4 = statistics.median(r.elapsed for r in conv4_runs)
-    time_2x2 = statistics.median(r.elapsed for r in conv2_runs)
+    time_4x4 = statistics.median(r.elapsed for _, r in conv4_runs)
+    time_2x2 = statistics.median(r.elapsed for _, r in conv2_runs)
     ok = training_ms <= 100.0 and time_4x4 <= 10.0 and time_2x2 <= 5.0
     _criterion(
         6,
@@ -321,9 +330,9 @@ def test_criterion_9_tiny_sample_generation(tiny_patch_path):
             mutation=Conv(),
             seed=seed,
         )
-        result = hill_climb(training, config)
+        initial, result = _climb(training, config)
         finals.append(result.best_fitness)
-        if result.best_fitness > _initial(result):
+        if result.best_fitness > initial:
             improved += 1
     ok = improved == 10
     _criterion(

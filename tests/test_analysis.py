@@ -24,11 +24,11 @@ from leveldiv import (
     fitness,
     hill_climb,
     kl_div,
-    load_smb_corpus,
     merge_distributions,
     pairwise_matrix,
     serialize_level,
 )
+from bundled import SMB_LEVEL_TYPES, load_smb_corpus, load_smb_level
 from leveldiv.analysis import _newick_label
 from leveldiv.divergence import weighted_divergence
 from leveldiv.evolve import random_init
@@ -308,8 +308,6 @@ def test_newick_matches_a_recursive_reference():
 
 
 def test_smb_corpus_clusters_by_type_at_default_settings():
-    from leveldiv import SMB_LEVEL_TYPES
-
     levels = load_smb_corpus()
     matrix = pairwise_matrix(levels, DivergenceConfig(dims=FilterDims(4, 4)))
     labels = cut_dendrogram(average_linkage(matrix), 3)
@@ -529,8 +527,6 @@ def test_compare_sets_training_copies_are_zero(tmp_path):
 @pytest.fixture(scope="module")
 def generator_dirs(tmp_path_factory):
     """100-level sets: conv-evolved at 4x4 and 2x2, plus uniform-random."""
-    from leveldiv import load_smb_level
-
     training = LevelSet.from_grids([("mario-1-1", load_smb_level("mario-1-1"))])
     root = tmp_path_factory.mktemp("generated")
 
@@ -546,7 +542,7 @@ def generator_dirs(tmp_path_factory):
                 mutation=Conv(),
                 seed=seed,
             )
-            best = hill_climb(training, config).best
+            best = hill_climb(training, config, lambda fitness: None).best
             (path / f"level-{seed:03d}.txt").write_text(
                 serialize_level(best) + "\n", encoding="utf-8"
             )

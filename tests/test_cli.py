@@ -9,7 +9,7 @@ from itertools import accumulate, count
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import leveldiv
@@ -26,8 +26,8 @@ from leveldiv import (
     load_level,
     pairwise_matrix,
     serialize_level,
-    smb_level_path,
 )
+from bundled import smb_level_path
 from leveldiv.cli import _OUTPUTS, _check_outputs, build_parser, dispatch, main
 
 
@@ -192,9 +192,9 @@ def test_evolve_is_byte_identical_for_same_seed(capsys, tmp_path):
 
 
 def test_evolve_trace_bytes_equal_the_library_trace(capsys, tmp_path):
-    """The streamed CSV equals rows built from the collected trace, with the
-    running best of accumulate(trace, max): this pins the sign of a zero
-    fitness and which of two equal values the best keeps."""
+    """The streamed CSV equals rows built from the values hill_climb hands its
+    sink, with the running best of accumulate(trace, max): this pins the sign of
+    a zero fitness and which of two equal values the best keeps."""
     flat = tmp_path / "flat.txt"
     flat.write_text("------\n" * 6)
     runs = [
@@ -210,8 +210,9 @@ def test_evolve_trace_bytes_equal_the_library_trace(capsys, tmp_path):
         code, _, _ = _run(capsys, "evolve", *paths, *flags,
                           "--out", str(tmp_path / "level.txt"), "--trace", str(trace_path))
         assert code == 0
-        trace = hill_climb(LevelSet.from_grids([(Path(paths[0]).stem, load_level(paths[0]))]),
-                           config).trace
+        trace = []
+        hill_climb(LevelSet.from_grids([(Path(paths[0]).stem, load_level(paths[0]))]),
+                   config, trace.append)
         expected = "eval_index,candidate_fitness,best_fitness\n" + "".join(
             f"{i},{c!r},{b!r}\n" for i, c, b in zip(count(), trace, accumulate(trace, max))
         )
@@ -338,7 +339,8 @@ def test_cli_import_leaves_out_multiprocessing():
     src = str(Path(leveldiv.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    banned = ("multiprocessing", "dataclasses", "inspect", "secrets")
+    banned = ("multiprocessing", "dataclasses", "inspect", "secrets", "ast", "dis", "tokenize",
+              "hmac", "hashlib")
     probe = (
         "import sys, leveldiv.cli; "
         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {banned!r}))"
@@ -769,3 +771,42 @@ def test_patterns_exit_code_for_any_file_bytes(capsys, tmp_path, data):
     code, _, err = _run(capsys, "patterns", str(path), "--filter", "2x2")
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+# Each command line with "{level}" where the random level bytes go, "{dir}" for
+# a directory holding only that file, "{smb}" for a bundled level and "{smb_dir}"
+# for their directory: every flag is valid, so only the level bytes can fail a
+# command, as a data error.
+_BYTES_COMMANDS = {
+    "analyze-p": ["analyze", "{level}", "{smb}", "--filter", "2x2"],
+    "analyze-q": ["analyze", "{smb}", "{level}", "--filter", "2x2"],
+    "evolve-conv": ["evolve", "{level}", "--filter", "2x2", "--budget", "5", "--width", "4",
+                    "--seed", "0"],
+    "evolve-flip": ["evolve", "{level}", "--filter", "2x2", "--mutation", "flip",
+                    "--budget", "5", "--width", "4", "--seed", "0"],
+    "cluster": ["cluster", "{level}", "{smb}", "--filter", "2x2"],
+    "compare-generated": ["compare", "{dir}", "--training", "{smb}", "--filters", "2x2"],
+    "compare-training": ["compare", "{smb_dir}", "--training", "{level}", "--filters", "2x2"],
+    "snippets": ["snippets", "{level}", "--filter", "2x2", "--width", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", _BYTES_COMMANDS.values(), ids=_BYTES_COMMANDS)
+@_PROPERTY_SETTINGS
+@given(data=_LEVEL_BYTES)
+# None of the drawn byte strings parses as a level, so two valid ones run too.
+@example(data=b"-X-\nX-X\n")
+@example(data=b"\xef\xbb\xbf--X-\r\nX--X\r\n-XX-")
+def test_every_command_exit_code_for_any_level_bytes(capsys, tmp_path, argv, data):
+    level_dir = tmp_path / "generated"
+    level_dir.mkdir(exist_ok=True)
+    path = level_dir / "level.txt"
+    path.write_bytes(data)
+    smb = smb_level_path("mario-1-2")
+    values = {"{level}": str(path), "{dir}": str(level_dir), "{smb}": str(smb),
+              "{smb_dir}": str(smb.parent)}
+    code, _, err = _run(capsys, *(values.get(arg, arg) for arg in argv))
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "leveldiv: error: " in err

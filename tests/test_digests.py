@@ -16,16 +16,15 @@ from pathlib import Path
 
 import pytest
 
-import leveldiv.corpus
+from bundled import DATA, smb_level_path
 from leveldiv.cli import dispatch
 
 DIGESTS = Path(__file__).with_name("digests.json")
-DATA = Path(leveldiv.corpus.__file__).parent / "data"
 SMB = sorted(str(path) for path in (DATA / "smb").glob("*.txt"))
 
 
 def _level(name):
-    return str(DATA / "smb" / f"{name}.txt")
+    return str(smb_level_path(name))
 
 
 def _cases():

@@ -19,10 +19,10 @@ from leveldiv import (
     extract_distribution,
     fitness,
     hill_climb,
-    load_smb_level,
     merge_distributions,
     snippet_fitness,
 )
+from bundled import load_smb_level
 from leveldiv import evolve
 from leveldiv.evolve import MAX_TARGET_CELLS, CandidateCounts, random_init
 from conftest import filled
@@ -58,6 +58,12 @@ def _strips(rows, dims):
     """Each window column's cells joined top to bottom, rebuilt from `rows`."""
     return ["".join(row[x : x + dims.width] for row in rows)
             for x in range(len(rows[0]) - dims.width + 1)]
+
+
+def _climb(training, config):
+    """The result of one climb and the list of every value its sink received."""
+    trace = []
+    return hill_climb(training, config, trace.append), trace
 
 
 def _mutated(mutation, grid, training, dims, rng):
@@ -436,23 +442,23 @@ def test_candidate_counts_dims_guard():
 
 def test_hill_climb_determinism():
     training = _training_set()
-    first = hill_climb(training, _small_config())
-    second = hill_climb(training, _small_config())
+    first, first_trace = _climb(training, _small_config())
+    second, second_trace = _climb(training, _small_config())
     assert first.best == second.best
     assert first.best_fitness == second.best_fitness
-    assert first.trace == second.trace
-    other = hill_climb(training, _small_config(seed=10))
+    assert first_trace == second_trace
+    other = hill_climb(training, _small_config(seed=10), lambda fitness: None)
     assert other.best != first.best
 
 
 def test_hill_climb_trace_invariants():
     training = _training_set()
     for mutation in (Conv(), Flip(rate=3.0)):
-        result = hill_climb(training, _small_config(mutation=mutation))
-        assert len(result.trace) == 121  # initial entry plus one per evaluation
-        assert all(isinstance(value, float) for value in result.trace)
+        result, trace = _climb(training, _small_config(mutation=mutation))
+        assert len(trace) == 121  # initial entry plus one per evaluation
+        assert all(isinstance(value, float) for value in trace)
         # The accepted parent is always the best candidate seen so far.
-        assert result.best_fitness == max(result.trace)
+        assert result.best_fitness == max(trace)
         assert result.elapsed > 0.0
 
 
@@ -460,14 +466,12 @@ def test_hill_climb_sink_receives_the_trace():
     training = _training_set()
     for mutation in (Conv(), Flip(rate=3.0)):
         config = _small_config(mutation=mutation)
-        received = []
-        streamed = hill_climb(training, config, sink=received.append)
-        collected = hill_climb(training, config)
+        first, received = _climb(training, config)
+        again, received_again = _climb(training, config)
         assert len(received) == config.budget + 1
-        assert [v.hex() for v in received] == [v.hex() for v in collected.trace]
-        assert streamed.trace == ()
-        assert streamed.best == collected.best
-        assert streamed.best_fitness.hex() == collected.best_fitness.hex()
+        assert [v.hex() for v in received] == [v.hex() for v in received_again]
+        assert first.best == again.best
+        assert first.best_fitness.hex() == again.best_fitness.hex()
 
 
 def test_hill_climb_memory_does_not_grow_with_budget_under_a_sink():
@@ -498,19 +502,20 @@ def test_hill_climb_target_cell_cap(monkeypatch):
     training = _training_set()  # 4 rows high
     at_cap = MAX_TARGET_CELLS // 4
     for width, height in ((MAX_TARGET_CELLS, 1), (at_cap, None), (1, MAX_TARGET_CELLS)):
+        config = _small_config(target_width=width, target_height=height)
         with pytest.raises(Reached):
-            hill_climb(training, _small_config(target_width=width, target_height=height))
+            hill_climb(training, config, lambda fitness: None)
     for width, height in ((MAX_TARGET_CELLS + 1, 1), (at_cap + 1, None), (10**9, 10**9)):
         config = _small_config(target_width=width, target_height=height)
         with pytest.raises(ValueError, match=f"more than {MAX_TARGET_CELLS} cells"):
-            hill_climb(training, config)
+            hill_climb(training, config, lambda fitness: None)
 
 
 def test_hill_climb_result_matches_scratch_recompute():
     training = _training_set()
     for mutation in (Conv(), Flip(rate=3.0)):
         config = _small_config(mutation=mutation)
-        result = hill_climb(training, config)
+        result = hill_climb(training, config, lambda fitness: None)
         dims = config.divergence.dims
         p_dist = merge_distributions(
             [extract_distribution(g, dims) for g in training.grids]
@@ -522,17 +527,18 @@ def test_hill_climb_result_matches_scratch_recompute():
 
 def test_hill_climb_target_dims():
     training = _training_set()
-    result = hill_climb(training, _small_config(target_width=15, target_height=9))
+    config = _small_config(target_width=15, target_height=9)
+    result = hill_climb(training, config, lambda fitness: None)
     assert result.best.width == 15
     assert result.best.height == 9
     # default height comes from the first training level
-    result = hill_climb(training, _small_config(target_height=None, budget=5))
+    result = hill_climb(training, _small_config(target_height=None, budget=5), lambda fitness: None)
     assert result.best.height == training.grids[0].height
 
 
 def test_hill_climb_alphabet_closure():
     training = _training_set()
-    result = hill_climb(training, _small_config())
+    result = hill_climb(training, _small_config(), lambda fitness: None)
     assert set(result.best.cells) <= set(training.symbols)
 
 
@@ -547,10 +553,10 @@ def test_hill_climb_singleton_alphabet_flip_stalls():
         mutation=Flip(rate=3.0),
         seed=0,
     )
-    result = hill_climb(training, config)
+    result, trace = _climb(training, config)
     assert result.best == filled("-", 6, 6)
     assert result.best_fitness == 0.0
-    assert all(value == 0.0 for value in result.trace)
+    assert all(value == 0.0 for value in trace)
 
 
 def test_hill_climb_training_must_fit_filter():
@@ -562,7 +568,7 @@ def test_hill_climb_training_must_fit_filter():
         budget=5,
     )
     with pytest.raises(LevelDivError, match="level dot: filter 3x3 does not fit in 2x2 grid"):
-        hill_climb(training, config)
+        hill_climb(training, config, lambda fitness: None)
 
 
 def test_hill_climb_target_must_fit_filter():
@@ -571,10 +577,11 @@ def test_hill_climb_target_must_fit_filter():
     for width, height in ((3, 6), (10, 3)):
         config = EvolutionConfig(target_width=width, target_height=height, budget=5)
         with pytest.raises(LevelDivError, match=f"does not fit in {width}x{height} grid"):
-            hill_climb(training, config)
+            hill_climb(training, config, lambda fitness: None)
     for width in (0, -1):
+        config = EvolutionConfig(target_width=width, budget=5)
         with pytest.raises(LevelDivError, match="grid rows must not be empty"):
-            hill_climb(training, EvolutionConfig(target_width=width, budget=5))
+            hill_climb(training, config, lambda fitness: None)
 
 
 def test_snippet_fitness_mario(mario_1_1):

@@ -51,7 +51,7 @@ EXAMPLES = {
     "DivergenceConfig": DivergenceConfig(),
     "DivergenceResult": DivergenceResult(0.5, 0.25, -0.375),
     "EvolutionConfig": EvolutionConfig(),
-    "EvolutionResult": EvolutionResult(GRID, -0.5, (-0.5,), 0.0),
+    "EvolutionResult": EvolutionResult(GRID, -0.5, 0.0),
     "FilterDims": DIMS,
     "Flip": Flip(),
     "GridEdit": GridEdit(0, 1, ("a",)),
@@ -155,7 +155,8 @@ def test_no_code_tests_a_records_truth_value(monkeypatch, tmp_path, capsys):
 
     config = DivergenceConfig(dims=FilterDims(2, 2))
     for mutation in (Conv(), Flip(rate=2.0)):
-        hill_climb(LEVELS, EvolutionConfig(config, 4, 4, budget=30, mutation=mutation))
+        hill_climb(LEVELS, EvolutionConfig(config, 4, 4, budget=30, mutation=mutation),
+                   lambda fitness: None)
     snippet_fitness(LEVELS, 2, config)
     dendrogram = average_linkage(pairwise_matrix(LEVELS, config))
     dendrogram.to_json()
