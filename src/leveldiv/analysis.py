@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import statistics
-from itertools import combinations
+from itertools import combinations, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -126,6 +126,8 @@ def pairwise_matrix(levels: LevelSet, config: DivergenceConfig) -> DistanceMatri
     for dist in level_distributions(levels, config.dims):
         counts = {keys.setdefault(cells, cells): count for cells, count in dist.counts.items()}
         dists.append(PatternDistribution(dist.dims, counts, dist.total))
+        # Free the level's own counts before the next level is counted.
+        del dist
     del keys
     n = len(dists)
     tables = [_table(dist, config.epsilon) for dist in dists]
@@ -260,10 +262,12 @@ def _load_directory(
     return levels, skipped
 
 
-def _both_ways(p: _Table, q: _Table) -> tuple[float, float]:
-    """kl(p, q) and kl(q, p). kl(p, q) reads q's unseen P', and kl(q, p) then p's."""
-    _check_unseen(q, p)
-    return _divergences(p, q)
+def _both_ways(p: _Table, q: PatternDistribution, epsilon: float) -> tuple[float, float]:
+    """kl(p, q) and kl(q, p), from p's table and q's distribution. kl(p, q) reads
+    q's unseen P', and kl(q, p) then p's."""
+    q_table = _table(q, epsilon)
+    _check_unseen(q_table, p)
+    return _divergences(p, q_table)
 
 
 def compare_sets(
@@ -308,9 +312,13 @@ def compare_sets(
     loaded = []
     for path in paths:
         levels, skip = _load_directory(path, filters)
-        # Both directions once per level and filter, shared by every weight.
+        # Both directions once per level and filter, shared by every weight. A
+        # map keeps no level once it is scored, so its counts are freed before
+        # the next level is counted.
         directed = {
-            dims: [_both_ways(p, _table(q, epsilon)) for q in level_distributions(levels, dims)]
+            dims: list(
+                map(_both_ways, repeat(p), level_distributions(levels, dims), repeat(epsilon))
+            )
             for dims, p in training_tables.items()
         }
         loaded.append((directed, skip))

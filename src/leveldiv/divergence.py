@@ -140,9 +140,8 @@ def _divergences(p: _Table, q: _Table) -> tuple[float, float]:
     repeated once per pattern that has it.
     """
     p_counts, q_counts = p.counts, q.counts
-    shared = Counter(
-        (p_counts[cells], q_counts[cells]) for cells in p_counts.keys() & q_counts.keys()
-    )
+    common = p_counts.keys() & q_counts.keys()
+    shared = Counter(zip(map(p_counts.__getitem__, common), map(q_counts.__getitem__, common)))
     p_only, q_only = p.seen.copy(), q.seen.copy()
     for (p_count, q_count), n in shared.items():
         p_only[p_count] -= n

@@ -85,6 +85,8 @@ class PatternDistribution(NamedTuple):
         return len(self.counts)
 
 
+# The climb (evolve.CandidateCounts) keys windows through kept column strips,
+# so that a child re-keys only the rows it changes.
 def _strips(rows: Sequence[str], xs: Iterable[int], width: int) -> Iterator[str]:
     """Each column x of `xs` as a strip: the rows' cells [x, x + width), joined top to bottom."""
     return ("".join([row[x : x + width] for row in rows]) for x in xs)
@@ -101,11 +103,41 @@ def _window_keys(strips: Iterable[str], dims: FilterDims, height: int) -> Iterat
     return chain.from_iterable(map(strip.__getitem__, spans) for strip in strips)
 
 
+# Window columns counted per block. A block keeps one slice per column and one
+# piece per column and band row, so counting memory does not grow with grid
+# width; wider blocks count a little faster but measured more peak memory.
+_BLOCK = 32
+
+
+def _band_keys(rows: Sequence[str], xs: range, dims: FilterDims) -> Iterator[Iterator[str]]:
+    """Row-major keys of the windows at columns `xs`, one band of `dims.height` rows at a time.
+
+    Each row is cut once into its `dims.width`-wide pieces at `xs`; a band's keys
+    join, column by column, the pieces of its rows.
+    """
+    cuts = [slice(x, x + dims.width) for x in xs]
+    band: list[list[str]] = []
+    for row in rows:
+        band.append(list(map(row.__getitem__, cuts)))
+        if len(band) == dims.height:
+            yield map("".join, zip(*band))
+            del band[0]
+
+
 def extract_distribution(grid: TileGrid, dims: FilterDims) -> PatternDistribution:
-    """Count every window of `dims` in `grid` (stride 1, windows fully inside)."""
+    """Count every window of `dims` in `grid` (stride 1, windows fully inside).
+
+    Windows are counted in blocks of `_BLOCK` columns, a row band at a time, so
+    at most `dims.height * _BLOCK` row pieces and `_BLOCK` slices are alive at
+    once, whatever the grid's width.
+    """
     total = window_count(grid.width, grid.height, dims)
-    strips = _strips(grid.rows, range(grid.width - dims.width + 1), dims.width)
-    counts = Counter(_window_keys(strips, dims, grid.height))
+    columns = grid.width - dims.width + 1
+    bands = chain.from_iterable(
+        _band_keys(grid.rows, range(x, min(x + _BLOCK, columns)), dims)
+        for x in range(0, columns, _BLOCK)
+    )
+    counts = Counter(chain.from_iterable(bands))
     return PatternDistribution(dims, counts, total)
 
 
@@ -119,6 +151,8 @@ def level_distributions(
         except LevelDivError as exc:
             raise LevelDivError(f"level {name}: {exc}") from exc
         yield dist
+        # Free this level's counts before the next level is counted.
+        del dist
 
 
 def merge_distributions(dists: Iterable[PatternDistribution]) -> PatternDistribution:
@@ -133,6 +167,8 @@ def merge_distributions(dists: Iterable[PatternDistribution]) -> PatternDistribu
         for cells, count in dist.counts.items():
             counts[cells] = counts.get(cells, 0) + count
         total += dist.total
+        # Free this level's counts before the next level is counted.
+        del dist
     if dims is None:
         raise LevelDivError("no distributions to merge")
     return PatternDistribution(dims, counts, total)

@@ -1,4 +1,5 @@
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bundled import DATA, load_smb_level
-from leveldiv import TileGrid
+from leveldiv import TileGrid, patterns
 
 
 def filled(symbol, width, height):
@@ -30,3 +31,20 @@ def tiny_patch_path():
     """The bundled 4x4 image patch, a minimal training sample."""
     return DATA / "tiny" / "patch-4x4.txt"
 
+
+
+@pytest.fixture
+def counts_alive(monkeypatch):
+    """Wrap `patterns.extract_distribution` so each call first records how many
+    of the count maps it returned earlier are still alive."""
+    refs, alive = [], []
+    extract = patterns.extract_distribution
+
+    def tracked(grid, dims):
+        alive.append(sum(ref() is not None for ref in refs))
+        dist = extract(grid, dims)
+        refs.append(weakref.ref(dist.counts))
+        return dist
+
+    monkeypatch.setattr(patterns, "extract_distribution", tracked)
+    return alive

@@ -92,6 +92,28 @@ def test_pairwise_matrix_names_offending_level():
     assert "small" in str(err.value)
 
 
+def _four_levels():
+    return [(f"l{i}", TileGrid(("ab-X"[i:] + "ab-X"[:i],) * 3)) for i in range(4)]
+
+
+def test_pairwise_matrix_frees_each_level_before_the_next(counts_alive):
+    matrix = pairwise_matrix(
+        LevelSet.from_grids(_four_levels()), DivergenceConfig(dims=FilterDims(2, 2))
+    )
+    assert len(matrix.values) == 4
+    assert counts_alive == [0, 0, 0, 0]
+
+
+def test_compare_sets_frees_each_level_before_the_next(tmp_path, counts_alive):
+    _write_levels(tmp_path / "gen", _four_levels())
+    table = compare_sets(
+        LevelSet.from_grids(_four_levels()), [tmp_path / "gen"], [FilterDims(2, 2)], [0.5]
+    )
+    assert table.cells[0][0].count == 4
+    # The four training levels are merged first, then the four generated ones scored.
+    assert counts_alive == [0] * 8
+
+
 def test_average_linkage_averages_transposed_entries():
     # symmetrized: d(0,1) = 1.5, d(0,2) = 3.0, d(1,2) = 7.0
     values = [[0.0, 2.0, 4.0], [1.0, 0.0, 8.0], [2.0, 6.0, 0.0]]

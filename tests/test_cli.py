@@ -763,14 +763,22 @@ _LEVEL_BYTES = st.binary(max_size=48) | st.lists(
 ).map(b"".join)
 
 
+# None of the drawn byte strings parses as a level, so these two run as examples.
+_VALID_LEVELS = (b"-X-\nX-X\n", b"\xef\xbb\xbf--X-\r\nX--X\r\n-XX-")
+
+
 @_PROPERTY_SETTINGS
 @given(data=_LEVEL_BYTES)
+@example(data=_VALID_LEVELS[0])
+@example(data=_VALID_LEVELS[1])
 def test_patterns_exit_code_for_any_file_bytes(capsys, tmp_path, data):
     path = tmp_path / "level.txt"
     path.write_bytes(data)
     code, _, err = _run(capsys, "patterns", str(path), "--filter", "2x2")
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+    if data in _VALID_LEVELS:
+        assert code == 0, err
 
 
 # Each command line with "{level}" where the random level bytes go, "{dir}" for
@@ -794,9 +802,8 @@ _BYTES_COMMANDS = {
 @pytest.mark.parametrize("argv", _BYTES_COMMANDS.values(), ids=_BYTES_COMMANDS)
 @_PROPERTY_SETTINGS
 @given(data=_LEVEL_BYTES)
-# None of the drawn byte strings parses as a level, so two valid ones run too.
-@example(data=b"-X-\nX-X\n")
-@example(data=b"\xef\xbb\xbf--X-\r\nX--X\r\n-XX-")
+@example(data=_VALID_LEVELS[0])
+@example(data=_VALID_LEVELS[1])
 def test_every_command_exit_code_for_any_level_bytes(capsys, tmp_path, argv, data):
     level_dir = tmp_path / "generated"
     level_dir.mkdir(exist_ok=True)

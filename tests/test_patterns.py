@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,8 @@ from leveldiv import (
     extract_distribution,
     merge_distributions,
 )
-from leveldiv.patterns import window_count
+from leveldiv.patterns import level_distributions, window_count
+from conftest import filled
 from oracles import naive_window_counts, random_rows
 
 
@@ -70,6 +72,41 @@ def test_extract_matches_naive_oracle():
                 assert dist.counts == expected
                 assert dist.total == sum(expected.values())
                 assert dist.total == window_count(grid.width, grid.height, dims)
+
+
+def test_extract_across_column_blocks():
+    # Whole grids are counted in blocks of 32 window columns: these widths put
+    # the last window column just before, on and after a block edge.
+    rng = random.Random(19)
+    widths = [*range(31, 37), *range(63, 68), *range(95, 98), 131]
+    for width in widths:
+        for height in (1, 2, 5):
+            rows = ["".join(rng.choice("AB-") for _ in range(width)) for _ in range(height)]
+            grid = TileGrid(tuple(rows))
+            for fw in range(1, 6):
+                for fh in range(1, min(4, height) + 1):
+                    dist = extract_distribution(grid, FilterDims(fw, fh))
+                    assert dist.counts == naive_window_counts(rows, fw, fh), (width, fw, fh)
+
+
+@pytest.mark.parametrize("dims", [FilterDims(2, 2), FilterDims(4, 4)], ids=str)
+def test_extract_memory_does_not_grow_with_width(dims):
+    grid = filled("-", 4096, 14)
+    tracemalloc.start()
+    try:
+        dist = extract_distribution(grid, dims)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.counts == {"-" * (dims.width * dims.height): dist.total}
+    assert peak < 64 * 1024
+
+
+def test_merge_frees_each_level_before_the_next(counts_alive):
+    levels = [(f"l{i}", TileGrid(("ab-X"[i:] + "ab-X"[:i],) * 3)) for i in range(4)]
+    merged = merge_distributions(level_distributions(levels, FilterDims(2, 2)))
+    assert merged.total == 4 * 3 * 2
+    assert counts_alive == [0, 0, 0, 0]
 
 
 def test_extract_filter_too_large():
