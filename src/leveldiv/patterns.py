@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import LevelDivError, record
@@ -85,8 +86,6 @@ class PatternDistribution(NamedTuple):
         return len(self.counts)
 
 
-# The climb (evolve.CandidateCounts) keys windows through kept column strips,
-# so that a child re-keys only the rows it changes.
 def _strips(rows: Sequence[str], xs: Iterable[int], width: int) -> Iterator[str]:
     """Each column x of `xs` as a strip: the rows' cells [x, x + width), joined top to bottom."""
     return ("".join([row[x : x + width] for row in rows]) for x in xs)
@@ -103,42 +102,39 @@ def _window_keys(strips: Iterable[str], dims: FilterDims, height: int) -> Iterat
     return chain.from_iterable(map(strip.__getitem__, spans) for strip in strips)
 
 
-# Window columns counted per block. A block keeps one slice per column and one
-# piece per column and band row, so counting memory does not grow with grid
-# width; wider blocks count a little faster but measured more peak memory.
+# Window columns counted per block. A block keeps one strip per column, so
+# counting memory does not grow with grid width; wider blocks count a little
+# faster but measured more peak memory.
 _BLOCK = 32
 
 
-def _band_keys(rows: Sequence[str], xs: range, dims: FilterDims) -> Iterator[Iterator[str]]:
-    """Row-major keys of the windows at columns `xs`, one band of `dims.height` rows at a time.
+def _block_keys(rows: Sequence[str], dims: FilterDims, columns: int) -> Iterator[Iterator[str]]:
+    """Row-major keys of the windows at the first `columns` window columns, one
+    row band of one block of columns at a time.
 
-    Each row is cut once into its `dims.width`-wide pieces at `xs`; a band's keys
-    join, column by column, the pieces of its rows.
+    Each block's strips (as `_strips` makes them) are built without a Python
+    step per column: each row is cut once into its pieces, and zip hands the
+    join one column's pieces at a time. A band's keys are then one slice of
+    each strip, so no Python step runs per window either.
     """
-    cuts = [slice(x, x + dims.width) for x in xs]
-    band: list[list[str]] = []
-    for row in rows:
-        band.append(list(map(row.__getitem__, cuts)))
-        if len(band) == dims.height:
-            yield map("".join, zip(*band))
-            del band[0]
+    bands = [itemgetter(span) for span in _spans(dims, range(len(rows) - dims.height + 1))]
+    for x in range(0, columns, _BLOCK):
+        cuts = [slice(c, c + dims.width) for c in range(x, min(x + _BLOCK, columns))]
+        strips = list(map("".join, zip(*[map(row.__getitem__, cuts) for row in rows])))
+        for band in bands:
+            yield map(band, strips)
 
 
 def extract_distribution(grid: TileGrid, dims: FilterDims) -> PatternDistribution:
     """Count every window of `dims` in `grid` (stride 1, windows fully inside).
 
-    Windows are counted in blocks of `_BLOCK` columns, a row band at a time, so
-    at most `dims.height * _BLOCK` row pieces and `_BLOCK` slices are alive at
-    once, whatever the grid's width.
+    Windows are counted in blocks of `_BLOCK` columns, so at most `_BLOCK`
+    strips of `dims.width * grid.height` cells and one piece per row are alive
+    at once, whatever the grid's width.
     """
     total = window_count(grid.width, grid.height, dims)
-    columns = grid.width - dims.width + 1
-    bands = chain.from_iterable(
-        _band_keys(grid.rows, range(x, min(x + _BLOCK, columns)), dims)
-        for x in range(0, columns, _BLOCK)
-    )
-    counts = Counter(chain.from_iterable(bands))
-    return PatternDistribution(dims, counts, total)
+    keys = _block_keys(grid.rows, dims, grid.width - dims.width + 1)
+    return PatternDistribution(dims, Counter(chain.from_iterable(keys)), total)
 
 
 def level_distributions(
