@@ -32,7 +32,6 @@ def tiny_patch_path():
     return DATA / "tiny" / "patch-4x4.txt"
 
 
-
 @pytest.fixture
 def counts_alive(monkeypatch):
     """Wrap `patterns.extract_distribution` so each call first records how many
