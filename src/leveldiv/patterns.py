@@ -108,9 +108,9 @@ def _window_keys(strips: Iterable[str], dims: FilterDims, height: int) -> Iterat
 _BLOCK = 32
 
 
-def _block_keys(rows: Sequence[str], dims: FilterDims, columns: int) -> Iterator[Iterator[str]]:
-    """Row-major keys of the windows at the first `columns` window columns, one
-    row band of one block of columns at a time.
+def _block_keys(rows: Sequence[str], dims: FilterDims) -> Iterator[Iterator[str]]:
+    """Row-major keys of the windows in `rows`, one row band of one block of
+    window columns at a time.
 
     Each block's strips (as `_strips` makes them) are built without a Python
     step per column: each row is cut once into its pieces, and zip hands the
@@ -118,6 +118,7 @@ def _block_keys(rows: Sequence[str], dims: FilterDims, columns: int) -> Iterator
     each strip, so no Python step runs per window either.
     """
     bands = [itemgetter(span) for span in _spans(dims, range(len(rows) - dims.height + 1))]
+    columns = len(rows[0]) - dims.width + 1
     for x in range(0, columns, _BLOCK):
         cuts = [slice(c, c + dims.width) for c in range(x, min(x + _BLOCK, columns))]
         strips = list(map("".join, zip(*[map(row.__getitem__, cuts) for row in rows])))
@@ -133,8 +134,8 @@ def extract_distribution(grid: TileGrid, dims: FilterDims) -> PatternDistributio
     at once, whatever the grid's width.
     """
     total = window_count(grid.width, grid.height, dims)
-    keys = _block_keys(grid.rows, dims, grid.width - dims.width + 1)
-    return PatternDistribution(dims, Counter(chain.from_iterable(keys)), total)
+    counts = Counter(chain.from_iterable(_block_keys(grid.rows, dims)))
+    return PatternDistribution(dims, counts, total)
 
 
 def level_distributions(
