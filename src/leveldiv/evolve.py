@@ -4,13 +4,17 @@ A single candidate grid is mutated, evaluated against the merged training
 distribution, and replaced by its child whenever the child's fitness is no
 worse. The climb keeps each window column's strip (its cells, joined top to
 bottom) and re-keys only the rows a child changes, slicing keys from the
-strips; their net count changes move two exact integer sums of KL summands. A
+strips; their net count changes move two exact integer sums of KL summands.
+Every strip, whole or the middle of a child's changed rows, comes from
+`patterns._strips`, as a strided slice of one joined block string. A
 child is committed only if accepted; one that changes no cell is its parent,
 priced without counting. The resulting fitness is bit-identical to a
 from-scratch recomputation: both are correctly rounded sums of the same terms.
 Each candidate's fitness goes to a caller's sink as soon as it is computed,
 so the climb keeps no trace.
-Training snippets are scored the same way, sliding one column at a time.
+Training snippets are scored the same way, sliding one column at a time; the
+strips entering the slide come from `patterns._strips` a block of columns at a
+time.
 
 Randomness comes from `random.Random` (Mersenne Twister); a fixed seed
 reproduces a run exactly within this implementation. Draw order is documented
@@ -23,12 +27,14 @@ import math
 import random
 import time
 from collections import Counter
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple
 
 from .divergence import DivergenceConfig, _smoothed, _summand, weighted_divergence
 from .errors import LevelDivError, record
 from .levels import LevelSet, TileGrid
 from .patterns import (
+    _BLOCK,
     FilterDims,
     PatternDistribution,
     _spans,
@@ -184,9 +190,11 @@ class CandidateCounts:
     pair's first use and is memoised. Dividing a sum by 2**bits rounds once,
     correctly, giving the bits of math.fsum over the same terms in any order,
     so the incremental fitness equals the from-scratch one by construction.
-    Each window column's strip (`patterns._strips`) is kept; a window's key is
-    one slice of it, so `propose` joins anew only the rows a child changes. A
-    child that changes no cell shares the state's rows, strips and sums.
+    Each window column's strip is kept; a window's key is one slice of it. The
+    strips start as one `patterns._strips` block of every window column, and
+    `propose` rebuilds only the middles over the rows a child changes, as one
+    more block of the columns those rows reach. A child that changes no cell
+    shares the state's rows, strips and sums.
     """
 
     def __init__(self, grid: TileGrid, training: PatternDistribution, config: DivergenceConfig):
@@ -210,7 +218,7 @@ class CandidateCounts:
         for count in seen:  # memoise first: it can refine the unit
             self._summands[count, 0]
         self.sum_p_q = sum(n * self._summands[count, 0][0] for count, n in seen.items())
-        strips = list(_strips(self.rows, range(self.width - dims.width + 1), dims.width))
+        strips = _strips(self.rows, 0, self.width - dims.width + 1, dims.width)
         counts = Counter(_window_keys(strips, dims, self.height))
         self.commit(self._child(self.rows, strips, counts))
 
@@ -282,7 +290,7 @@ class CandidateCounts:
                 row = rows[y + i]
                 rows[y + i] = row[:x] + patch_row + row[x + ew :]
             edited, head, tail = rows[y : y + eh], y * fw, (y + eh) * fw
-            for c, middle in enumerate(_strips(edited, range(x0, x1), fw), x0):
+            for c, middle in enumerate(_strips(edited, x0, x1 - x0, fw), x0):
                 strip = strips[c]
                 gone += [strip[s] for s in spans]
                 strips[c] = strip = strip[:head] + middle + strip[tail:]
@@ -386,7 +394,9 @@ def snippet_fitness(
 
     Snippets slide one column at a time over each training level (levels in
     set order) and are scored against the merged training distribution, so
-    they answer "how fit is the training data itself at this size".
+    they answer "how fit is the training data itself at this size". Each step
+    takes the strip entering at the right edge from `patterns._strips`, built
+    `_BLOCK` columns at a time, so at most one block of them is alive.
     """
     dims = config.dims
     if snippet_width < dims.width:
@@ -404,12 +414,17 @@ def snippet_fitness(
     for _, grid in training:
         state = CandidateCounts(grid.crop(0, 0, snippet_width, grid.height), p_dist, config)
         results.append((0, state.fitness()))
-        for offset in range(1, grid.width - snippet_width + 1):
+        columns, first = grid.width - dims.width + 1, snippet_width - dims.width + 1
+        entering = chain.from_iterable(
+            _strips(grid.rows, x, min(_BLOCK, columns - x), dims.width)
+            for x in range(first, columns, _BLOCK)
+        )
+        for offset, strip in enumerate(entering, 1):
             # One step right: the first strip, whose keys are the windows at
             # column offset-1, leaves, and the one at the new right edge enters.
             strips = state.strips[1:]
-            strips += _strips(grid.rows, [offset + snippet_width - dims.width], dims.width)
-            delta = Counter(_window_keys(strips[-1:], dims, grid.height))
+            strips.append(strip)
+            delta = Counter(_window_keys([strip], dims, grid.height))
             delta.subtract(_window_keys(state.strips[:1], dims, grid.height))
             rows = [row[offset : offset + snippet_width] for row in grid.rows]
             child = state._child(rows, strips, delta)

@@ -86,9 +86,17 @@ class PatternDistribution(NamedTuple):
         return len(self.counts)
 
 
-def _strips(rows: Sequence[str], xs: Iterable[int], width: int) -> Iterator[str]:
-    """Each column x of `xs` as a strip: the rows' cells [x, x + width), joined top to bottom."""
-    return ("".join([row[x : x + width] for row in rows]) for x in xs)
+def _strips(rows: Sequence[str], x: int, n: int, width: int) -> list[str]:
+    """The strips of the `n` window columns from `x`: strip c holds every row's
+    cells [x + c, x + c + width), joined top to bottom.
+
+    One block string is joined whose row (y, j) holds row y's cells
+    [x + j, x + j + n), `width` slices per row, so strip c is the C-level
+    strided slice `block[c::n]` and no Python step runs per column. At most
+    the block string and its `n` strips are alive at once.
+    """
+    block = "".join([row[i : i + n] for row in rows for i in range(x, x + width)])
+    return [block[c::n] for c in range(n)]
 
 
 def _spans(dims: FilterDims, ys: Iterable[int]) -> list[slice]:
@@ -102,9 +110,9 @@ def _window_keys(strips: Iterable[str], dims: FilterDims, height: int) -> Iterat
     return chain.from_iterable(map(strip.__getitem__, spans) for strip in strips)
 
 
-# Window columns counted per block. A block keeps one strip per column, so
-# counting memory does not grow with grid width; wider blocks count a little
-# faster but measured more peak memory.
+# Window columns counted per block. A block's strips are sliced from one block
+# string, so counting memory does not grow with grid width; wider blocks count
+# a little faster but measured more peak memory.
 _BLOCK = 32
 
 
@@ -112,16 +120,14 @@ def _block_keys(rows: Sequence[str], dims: FilterDims) -> Iterator[Iterator[str]
     """Row-major keys of the windows in `rows`, one row band of one block of
     window columns at a time.
 
-    Each block's strips (as `_strips` makes them) are built without a Python
-    step per column: each row is cut once into its pieces, and zip hands the
-    join one column's pieces at a time. A band's keys are then one slice of
-    each strip, so no Python step runs per window either.
+    Each block's strips come from `_strips`, so at most one block string and
+    its `_BLOCK` strips are alive. A band's keys are one slice of each strip,
+    so no Python step runs per window.
     """
     bands = [itemgetter(span) for span in _spans(dims, range(len(rows) - dims.height + 1))]
     columns = len(rows[0]) - dims.width + 1
     for x in range(0, columns, _BLOCK):
-        cuts = [slice(c, c + dims.width) for c in range(x, min(x + _BLOCK, columns))]
-        strips = list(map("".join, zip(*[map(row.__getitem__, cuts) for row in rows])))
+        strips = _strips(rows, x, min(_BLOCK, columns - x), dims.width)
         for band in bands:
             yield map(band, strips)
 
@@ -129,9 +135,9 @@ def _block_keys(rows: Sequence[str], dims: FilterDims) -> Iterator[Iterator[str]
 def extract_distribution(grid: TileGrid, dims: FilterDims) -> PatternDistribution:
     """Count every window of `dims` in `grid` (stride 1, windows fully inside).
 
-    Windows are counted in blocks of `_BLOCK` columns, so at most `_BLOCK`
-    strips of `dims.width * grid.height` cells and one piece per row are alive
-    at once, whatever the grid's width.
+    Windows are counted in blocks of `_BLOCK` columns, so at most one block
+    string and its `_BLOCK` strips, each of `dims.width * grid.height` cells,
+    are alive at once, whatever the grid's width.
     """
     total = window_count(grid.width, grid.height, dims)
     counts = Counter(chain.from_iterable(_block_keys(grid.rows, dims)))

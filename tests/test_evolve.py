@@ -697,3 +697,37 @@ def test_snippet_fitness_proper_snippets_all_negative(mario_1_1):
     training = LevelSet.from_grids([("mario-1-1", mario_1_1)])
     rows = snippet_fitness(training, 30, DivergenceConfig(dims=FilterDims(4, 4)))
     assert all(value < 0.0 for _, value in rows)
+
+
+def _wide_tile_level(width, height, seed):
+    """A level over tiles of 1-, 2- and 4-byte string kinds."""
+    rng = random.Random(seed)
+    return TileGrid(tuple("".join(rng.choice("a-é█🍄") for _ in range(width))
+                          for _ in range(height)))
+
+
+def test_climb_and_snippets_over_non_ascii_tiles():
+    # Width 70 makes the snippet slide's entering strips span three blocks.
+    level = _wide_tile_level(70, 6, 29)
+    training = LevelSet.from_grids([("wide", level)])
+    for dims in (FilterDims(2, 2), FilterDims(3, 2)):
+        config = DivergenceConfig(dims=dims, weight=0.3)
+        p_dist = extract_distribution(level, dims)
+        for mutation in (Conv(), Flip(rate=3.0)):
+            climb = EvolutionConfig(divergence=config, target_width=12, budget=150,
+                                    mutation=mutation, seed=5)
+            result, _ = _climb(training, climb)
+            assert result.best_fitness.hex() == _scratch(p_dist, result.best, config).hex()
+        rows = snippet_fitness(training, 5, config)
+        assert [offset for offset, _ in rows] == list(range(66))
+        for offset, value in rows:
+            snippet = level.crop(offset, 0, 5, level.height)
+            assert value.hex() == _scratch(p_dist, snippet, config).hex()
+        # Each child's strips and fitness, against a rebuild and a recount.
+        state = CandidateCounts(_wide_tile_level(9, 4, 31), p_dist, config)
+        rng = random.Random(37)
+        for _ in range(40):
+            child = state.propose(Conv().edits(state.rows, training, dims, rng))
+            assert child.strips == _strips(child.rows, dims)
+            assert child.fitness.hex() == _scratch(p_dist, TileGrid(tuple(child.rows)), config).hex()
+            state.commit(child)

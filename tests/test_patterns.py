@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leveldiv import (
     FilterDims,
@@ -11,7 +13,7 @@ from leveldiv import (
     extract_distribution,
     merge_distributions,
 )
-from leveldiv.patterns import level_distributions, window_count
+from leveldiv.patterns import _BLOCK, _strips, level_distributions, window_count
 from conftest import filled
 from oracles import naive_window_counts, random_rows
 
@@ -87,6 +89,45 @@ def test_extract_across_column_blocks():
                 for fh in range(1, min(4, height) + 1):
                     dist = extract_distribution(grid, FilterDims(fw, fh))
                     assert dist.counts == naive_window_counts(rows, fw, fh), (width, fw, fh)
+
+
+# Tiles of 1-, 2- and 4-byte string kinds: a block string of them mixes kinds.
+WIDE_TILES = "a-é█🍄"
+
+
+def test_extract_non_ascii_tiles():
+    rng = random.Random(23)
+    for width in (3, 31, 33, 65, 97):
+        for height in (1, 3, 6):
+            rows = ["".join(rng.choice(WIDE_TILES) for _ in range(width)) for _ in range(height)]
+            grid = TileGrid(tuple(rows))
+            for fw in range(1, min(5, width) + 1):
+                for fh in range(1, min(4, height) + 1):
+                    dist = extract_distribution(grid, FilterDims(fw, fh))
+                    assert dist.counts == naive_window_counts(rows, fw, fh), (width, fw, fh)
+
+
+@st.composite
+def _strip_rows(draw):
+    """A window width of 1-5 and 1-4 rows holding 1 to _BLOCK + 3 window columns."""
+    width = draw(st.integers(1, 5))
+    length = draw(st.integers(width, width + _BLOCK + 2))
+    row = st.text(st.sampled_from(WIDE_TILES), min_size=length, max_size=length)
+    return width, draw(st.lists(row, min_size=1, max_size=4))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_strip_rows())
+@example((1, ["a-" * (_BLOCK // 2)]))
+@example((5, ["é🍄-a█" * 8, "█a" * 20]))
+def test_strips_equal_naive_joins(case):
+    # Every block of n >= 1 window columns that fits, from every column x.
+    width, rows = case
+    columns = len(rows[0]) - width + 1
+    for x in range(columns):
+        for n in range(1, columns - x + 1):
+            expected = ["".join(row[c : c + width] for row in rows) for c in range(x, x + n)]
+            assert _strips(rows, x, n, width) == expected, (x, n)
 
 
 @pytest.mark.parametrize("dims", [FilterDims(2, 2), FilterDims(4, 4)], ids=str)
