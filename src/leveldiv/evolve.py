@@ -4,17 +4,14 @@ A single candidate grid is mutated, evaluated against the merged training
 distribution, and replaced by its child whenever the child's fitness is no
 worse. The climb keeps each window column's strip (its cells, joined top to
 bottom) and re-keys only the rows a child changes, slicing keys from the
-strips; their net count changes move two exact integer sums of KL summands.
-Every strip, whole or the middle of a child's changed rows, comes from
-`patterns._strips`, as a strided slice of one joined block string. A
+strips; their net count changes move two exact integer sums of KL summands. A
 child is committed only if accepted; one that changes no cell is its parent,
 priced without counting. The resulting fitness is bit-identical to a
 from-scratch recomputation: both are correctly rounded sums of the same terms.
 Each candidate's fitness goes to a caller's sink as soon as it is computed,
 so the climb keeps no trace.
-Training snippets are scored the same way, sliding one column at a time; the
-strips entering the slide come from `patterns._strips` a block of columns at a
-time.
+Training snippets are scored the same way, sliding one column at a time.
+Every strip, the climb's and the slide's alike, comes from `patterns._strips`.
 
 Randomness comes from `random.Random` (Mersenne Twister); a fixed seed
 reproduces a run exactly within this implementation. Draw order is documented
@@ -191,10 +188,10 @@ class CandidateCounts:
     correctly, giving the bits of math.fsum over the same terms in any order,
     so the incremental fitness equals the from-scratch one by construction.
     Each window column's strip is kept; a window's key is one slice of it. The
-    strips start as one `patterns._strips` block of every window column, and
-    `propose` rebuilds only the middles over the rows a child changes, as one
-    more block of the columns those rows reach. A child that changes no cell
-    shares the state's rows, strips and sums.
+    strips start as one `patterns._strips` block of every window column;
+    `propose` rebuilds only their middles over the rows a child changes, as one
+    block of the window columns over the changed cells. A child that changes
+    no cell shares the state's rows, strips and sums.
     """
 
     def __init__(self, grid: TileGrid, training: PatternDistribution, config: DivergenceConfig):

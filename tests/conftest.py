@@ -11,6 +11,10 @@ from bundled import DATA, load_smb_level
 from leveldiv import TileGrid, patterns
 
 
+# Tiles of 1-, 2- and 4-byte string kinds: a row or key of them mixes kinds.
+WIDE_TILES = "a-é█🍄"
+
+
 def filled(symbol, width, height):
     """A width x height grid holding `symbol` in every cell."""
     return TileGrid(tuple(symbol * width for _ in range(height)))

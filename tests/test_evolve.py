@@ -25,7 +25,7 @@ from leveldiv import (
 from bundled import load_smb_level
 from leveldiv import evolve
 from leveldiv.evolve import MAX_TARGET_CELLS, CandidateCounts, random_init
-from conftest import filled
+from conftest import WIDE_TILES, filled
 
 
 def _training_set():
@@ -700,9 +700,9 @@ def test_snippet_fitness_proper_snippets_all_negative(mario_1_1):
 
 
 def _wide_tile_level(width, height, seed):
-    """A level over tiles of 1-, 2- and 4-byte string kinds."""
+    """A random level over WIDE_TILES."""
     rng = random.Random(seed)
-    return TileGrid(tuple("".join(rng.choice("a-é█🍄") for _ in range(width))
+    return TileGrid(tuple("".join(rng.choice(WIDE_TILES) for _ in range(width))
                           for _ in range(height)))
 
 

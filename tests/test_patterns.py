@@ -14,7 +14,7 @@ from leveldiv import (
     merge_distributions,
 )
 from leveldiv.patterns import _BLOCK, _strips, level_distributions, window_count
-from conftest import filled
+from conftest import WIDE_TILES, filled
 from oracles import naive_window_counts, random_rows
 
 
@@ -89,10 +89,6 @@ def test_extract_across_column_blocks():
                 for fh in range(1, min(4, height) + 1):
                     dist = extract_distribution(grid, FilterDims(fw, fh))
                     assert dist.counts == naive_window_counts(rows, fw, fh), (width, fw, fh)
-
-
-# Tiles of 1-, 2- and 4-byte string kinds: a block string of them mixes kinds.
-WIDE_TILES = "a-é█🍄"
 
 
 def test_extract_non_ascii_tiles():
