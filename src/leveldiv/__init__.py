@@ -38,7 +38,6 @@ from .levels import (
 )
 from .patterns import (
     FilterDims,
-    Pattern,
     PatternDistribution,
     extract_distribution,
     merge_distributions,
@@ -64,7 +63,6 @@ __all__ = [
     "LevelDivError",
     "LevelIoError",
     "LevelSet",
-    "Pattern",
     "PatternDistribution",
     "TileGrid",
     "average_linkage",

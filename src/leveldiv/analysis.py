@@ -2,7 +2,9 @@
 
 Pairwise weighted-divergence matrices between levels, agglomerative clustering
 with average linkage, and mean-divergence tables comparing directories of
-generated levels against a training set. A dendrogram is its list of merges:
+generated levels against a training set. The cluster matrix adds count-table
+divergences with math.fsum; `compare_sets` scores levels on the climb's exact
+training side, `evolve._Side`. A dendrogram is its list of merges:
 the Newick text, the JSON and the k-cluster cut each read that list in one
 pass, in merge order.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import statistics
-from itertools import combinations, repeat
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -20,11 +22,12 @@ from .divergence import (
     DivergenceConfig,
     _check_unseen,
     _divergences,
+    _smoothed,
     _table,
-    _Table,
     weighted_divergence,
 )
 from .errors import LevelDivError, LevelIoError, record
+from .evolve import _Side
 from .levels import LevelSet, TileGrid, _path_names, load_level
 from .patterns import (
     FilterDims,
@@ -46,6 +49,7 @@ def _newick_label(name: str) -> str:
     return name
 
 
+# No check, but @record's _make and _replace do not read the overridden __len__.
 @record
 class DistanceMatrix(NamedTuple):
     """Weighted divergence d(i,j) = w*kl(i,j) + (1-w)*kl(j,i) between levels."""
@@ -262,14 +266,6 @@ def _load_directory(
     return levels, skipped
 
 
-def _both_ways(p: _Table, q: PatternDistribution, epsilon: float) -> tuple[float, float]:
-    """kl(p, q) and kl(q, p), from p's table and q's distribution. kl(p, q) reads
-    q's unseen P', and kl(q, p) then p's."""
-    q_table = _table(q, epsilon)
-    _check_unseen(q_table, p)
-    return _divergences(p, q_table)
-
-
 def compare_sets(
     training: LevelSet,
     generated_dirs: Sequence[str | os.PathLike],
@@ -302,25 +298,33 @@ def compare_sets(
             raise ValueError(f"duplicate compare column {name}")
     paths = [os.fspath(directory) for directory in generated_dirs]
     rows = _path_names(paths, [os.path.basename(os.path.abspath(p)) for p in paths], "directory")
-    training_tables = {
-        dims: _table(merge_distributions(level_distributions(training, dims)), epsilon)
-        for dims in filters
-    }
-    # Scoring reads only the tables; where the caller kept no reference of
-    # its own, the training grids are freed before any directory is read.
+    p_dists = {dims: merge_distributions(level_distributions(training, dims)) for dims in filters}
+    # Scoring reads only the merged counts; where the caller kept no reference
+    # of its own, the training grids are freed before any directory is read.
     del training
+    # One training side per filter and generated window total, for every directory.
+    sides: dict[tuple[FilterDims, int], _Side] = {}
+
+    def both_ways(q: PatternDistribution) -> tuple[float, float]:
+        """kl(P, Q) and kl(Q, P) of one generated level; kl(P, Q) reads the
+        level's unseen P', and kl(Q, P) then the training set's."""
+        side = sides.get((q.dims, q.total))
+        if side is None:
+            p = p_dists[q.dims]
+            side = sides[q.dims, q.total] = _Side(p, DivergenceConfig(epsilon, q.dims), q.total)
+            _smoothed(0, p.total, epsilon)  # raises if the training set's unseen P' underflows
+        sum_p_q, sum_q_p = side.sums(q.counts)
+        unit = 1 << side.bits
+        return sum_p_q / unit, sum_q_p / unit
+
     loaded = []
     for path in paths:
         levels, skip = _load_directory(path, filters)
         # Both directions once per level and filter, shared by every weight. A
         # map keeps no level once it is scored, so its counts are freed before
         # the next level is counted.
-        directed = {
-            dims: list(
-                map(_both_ways, repeat(p), level_distributions(levels, dims), repeat(epsilon))
-            )
-            for dims, p in training_tables.items()
-        }
+        directed = {dims: list(map(both_ways, level_distributions(levels, dims)))
+                    for dims in filters}
         loaded.append((directed, skip))
     # Cells are built once every directory is scored: building them in between
     # left the statistics temporaries among the level loads, which measured

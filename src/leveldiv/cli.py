@@ -27,7 +27,7 @@ from .divergence import DivergenceConfig, contributions, fitness
 from .errors import LevelDivError
 from .evolve import Conv, EvolutionConfig, Flip, hill_climb, snippet_fitness
 from .levels import LevelSet, TileGrid, _path_names, decode_level, load_level, serialize_level
-from .patterns import FilterDims, Pattern, level_distributions, merge_distributions
+from .patterns import FilterDims, level_distributions, merge_distributions
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,7 +138,7 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
     # Most frequent first; ties broken by cell string.
     counts = sorted(merged.counts.items(), key=lambda item: (-item[1], item[0]))
     _write_csv(args.out, ["pattern_key", "count"],
-               ((Pattern(merged.dims, cells).key, n) for cells, n in counts))
+               ((f"{merged.dims}:{cells}", n) for cells, n in counts))
     return 0
 
 
@@ -156,7 +156,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.contributions is not None:
         report = contributions(p_dist, q_dist, config.epsilon)[: args.top]
         _write_csv(args.contributions, ["pattern_key", "p_prime", "q_prime", "summand"],
-                   ((e.pattern.key, e.p_prime, e.q_prime, e.summand) for e in report))
+                   ((f"{config.dims}:{e.cells}", e.p_prime, e.q_prime, e.summand) for e in report))
     return 0
 
 

@@ -24,7 +24,7 @@ from itertools import chain, repeat
 from typing import Iterable, NamedTuple
 
 from .errors import LevelDivError, record
-from .patterns import FilterDims, Pattern, PatternDistribution
+from .patterns import FilterDims, PatternDistribution
 
 
 @record
@@ -50,7 +50,7 @@ class DivergenceResult(NamedTuple):
 
 
 class ContributionEntry(NamedTuple):
-    pattern: Pattern
+    cells: str
     p_prime: float
     q_prime: float
     summand: float
@@ -201,7 +201,7 @@ def contributions(
 ) -> tuple[ContributionEntry, ...]:
     """Break kl_div(p, q) into per-pattern summands, largest (most anomalous) first.
 
-    Ties are broken by pattern key, so the report order is deterministic.
+    Ties are broken by cells, so the report order is deterministic.
     """
     p_table, q_table = _tables(p, q, epsilon)
     p_smoothed, q_smoothed, q_get = p_table.smoothed, q_table.smoothed, q.counts.get
@@ -209,6 +209,6 @@ def contributions(
     for cells, count in p.counts.items():
         p_side, q_side = p_smoothed[count], q_smoothed[q_get(cells, 0)]
         summand = _summand(p_side, q_side)
-        entries.append(ContributionEntry(Pattern(p.dims, cells), p_side[0], q_side[0], summand))
-    entries.sort(key=lambda entry: (-entry.summand, entry.pattern.key))
+        entries.append(ContributionEntry(cells, p_side[0], q_side[0], summand))
+    entries.sort(key=lambda entry: (-entry.summand, entry.cells))
     return tuple(entries)

@@ -12,6 +12,8 @@ Each candidate's fitness goes to a caller's sink as soon as it is computed,
 so the climb keeps no trace.
 Training snippets are scored the same way, sliding one column at a time.
 Every strip, the climb's and the slide's alike, comes from `patterns._strips`.
+Summands live on a `_Side`, one per training distribution, config and window
+total: one per climb, per snippet height, and per filter and level size in compare.
 
 Randomness comes from `random.Random` (Mersenne Twister); a fixed seed
 reproduces a run exactly within this implementation. Draw order is documented
@@ -24,7 +26,7 @@ import math
 import random
 import time
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple
 
 from .divergence import DivergenceConfig, _smoothed, _summand, weighted_divergence
@@ -102,9 +104,9 @@ class Conv(NamedTuple):
         sy = rng.randrange(1 + source.height - dims.height)
         dx = rng.randrange(1 + width - dims.width)
         dy = rng.randrange(1 + height - dims.height)
-        patch = tuple(
-            source.rows[sy + i][sx : sx + dims.width] for i in range(dims.height)
-        )
+        # Not from a generator: such a tuple is shrunk from a larger one, and each
+        # freed patch grew CPython's free list of small tuples (up to ~110 KiB).
+        patch = tuple([source.rows[sy + i][sx : sx + dims.width] for i in range(dims.height)])
         return [GridEdit(dx, dy, patch)]
 
 
@@ -165,87 +167,97 @@ class Child(NamedTuple):
     fitness: float
 
 
-class _Memo(dict):
-    """A dict that fills in a missing key from `make(key)` on its first lookup."""
+class _Side(dict):
+    """The training side of a divergence against candidates of one window total.
 
-    def __init__(self, make: Callable[[tuple[int, int]], tuple[int, int]]):
-        self.make = make
-
-    def __missing__(self, key: tuple[int, int]) -> tuple[int, int]:
-        value = self[key] = self.make(key)
-        return value
-
-
-class CandidateCounts:
-    """A candidate grid's window counts and its divergence from fixed training counts.
-
-    Both directed divergences are exact integer sums: sum_p_q over the training
-    patterns and sum_q_p over the candidate's, in units of 2**-bits, where bits
-    grows whenever a finer summand shows up (every double is a whole multiple
-    of a power of two). A summand depends only on the pattern's (training
-    count, candidate count) pair; it comes from divergence._summand on the
-    pair's first use and is memoised. Dividing a sum by 2**bits rounds once,
-    correctly, giving the bits of math.fsum over the same terms in any order,
-    so the incremental fitness equals the from-scratch one by construction.
-    Each window column's strip is kept; a window's key is one slice of it. The
-    strips start as one `patterns._strips` block of every window column;
-    `propose` rebuilds only their middles over the rows a child changes, as one
-    block of the window columns over the changed cells. A child that changes
-    no cell shares the state's rows, strips and sums.
+    It maps a pattern's (training count, candidate count) pair to its (p-to-q,
+    q-to-p) summands from divergence._summand, as exact integers in units of
+    2**-bits; a side where the pattern is absent adds 0. Every double is a
+    whole multiple of a power of two, so `bits` grows when a finer summand
+    shows up, scaling every value and `baseline`, the empty candidate's sum_p_q.
     """
 
-    def __init__(self, grid: TileGrid, training: PatternDistribution, config: DivergenceConfig):
+    def __init__(self, training: PatternDistribution, config: DivergenceConfig, total: int):
         if training.dims != config.dims:
             raise LevelDivError(
                 f"training distribution is {training.dims} but config expects {config.dims}"
             )
-        self.config = config
-        self.training = training
-        self.width, self.height = grid.width, grid.height
-        self.rows: list[str] = list(grid.rows)
-        dims = config.dims
-        self.total = window_count(self.width, self.height, dims)
-        self._summands = _Memo(self._exact_summands)
-        # Start from an empty candidate, whose sums hold only training-side
-        # summands, and commit the grid's counts as one delta.
-        self.counts: dict[str, int] = {}
-        self.bits = self.sum_p_q = self.sum_q_p = 0
+        self.training, self.config, self.total = training, config, total
+        self.bits = self.baseline = 0
         # Training patterns with one count share a summand: n of them add n times it.
         seen = Counter(training.counts.values())
         for count in seen:  # memoise first: it can refine the unit
-            self._summands[count, 0]
-        self.sum_p_q = sum(n * self._summands[count, 0][0] for count, n in seen.items())
-        strips = _strips(self.rows, 0, self.width - dims.width + 1, dims.width)
-        counts = Counter(_window_keys(strips, dims, self.height))
-        self.commit(self._child(self.rows, strips, counts))
+            self[count, 0]
+        self.baseline = sum(n * self[count, 0][0] for count, n in seen.items())
 
-    def _exact_summands(self, pair: tuple[int, int]) -> tuple[int, int]:
-        """(p-to-q, q-to-p) summands, in units of 2**-bits, of a pattern with these
-        (training, candidate) counts; a side where the pattern is absent adds 0.
-        Each denominator of a ratio below is a power of two, 2**(bit_length - 1)."""
+    def __missing__(self, pair: tuple[int, int]) -> tuple[int, int]:
+        return self.setdefault(pair, self._exact(pair))
+
+    def _exact(self, pair: tuple[int, int]) -> tuple[int, int]:
+        """The pair's summands, refining the unit first if they need a finer one."""
+        # Each denominator of a ratio below is a power of two, 2**(bit_length - 1).
         p_count, q_count = pair
         p_side = _smoothed(p_count, self.training.total, self.config.epsilon)
         q_side = _smoothed(q_count, self.total, self.config.epsilon)
-        ratios = (
-            _summand(p_side, q_side).as_integer_ratio() if p_count else (0, 1),
-            _summand(q_side, p_side).as_integer_ratio() if q_count else (0, 1),
-        )
-        bits = max(d.bit_length() for _, d in ratios) - 1
+        p_q, p_d = _summand(p_side, q_side).as_integer_ratio() if p_count else (0, 1)
+        q_p, q_d = _summand(q_side, p_side).as_integer_ratio() if q_count else (0, 1)
+        bits = max(p_d, q_d).bit_length() - 1
         if bits > self.bits:
             shift, self.bits = bits - self.bits, bits
-            self.sum_p_q <<= shift
-            self.sum_q_p <<= shift
-            for key, (a, b) in self._summands.items():
-                self._summands[key] = (a << shift, b << shift)
-        return tuple(n << (self.bits + 1 - d.bit_length()) for n, d in ratios)
+            self.baseline <<= shift
+            for key, (a, b) in self.items():
+                self[key] = (a << shift, b << shift)
+        return p_q << (self.bits + 1 - p_d.bit_length()), q_p << (self.bits + 1 - q_d.bit_length())
 
-    def _fitness(self, sum_p_q: int, sum_q_p: int) -> float:
-        unit = 1 << self.bits
+    def sums(self, counts: dict[str, int]) -> tuple[int, int]:
+        """(sum_p_q, sum_q_p), in 2**-bits, of a candidate with these counts, tallied
+        by count pair in C. A pair missing from the memo is worked out but not kept:
+        keeping those of 30 generated levels raised compare's peak memory by a fifth."""
+        pairs = Counter(zip(map(self.training.counts.get, counts, repeat(0)), counts.values()))
+        while True:
+            bits, sum_p_q, sum_q_p = self.bits, self.baseline, 0
+            for pair, n in pairs.items():
+                p_q, q_p = self.get(pair) or self._exact(pair)
+                sum_p_q += n * (p_q - self[pair[0], 0][0])
+                sum_q_p += n * q_p
+            if self.bits == bits:  # else a new summand refined the unit: add up again
+                return sum_p_q, sum_q_p
+
+    def fitness(self, bits: int, sum_p_q: int, sum_q_p: int) -> float:
+        """Fitness from sums in 2**-bits: each division rounds once, correctly,
+        giving the bits of math.fsum over the same terms in any order."""
+        unit = 1 << bits
         return -weighted_divergence(sum_p_q / unit, sum_q_p / unit, self.config.weight)
+
+
+class CandidateCounts:
+    """A candidate grid's window counts and its divergence from a training side.
+
+    Both directed divergences are exact integer sums in units of 2**-bits:
+    sum_p_q over the training patterns and sum_q_p over the candidate's. The
+    side may refine its unit later; a child scales the sums up when it reads
+    them. So the incremental fitness equals the from-scratch one by
+    construction. Each window column's strip is kept; a window's key is one
+    slice of it. The strips start as one `patterns._strips` block of every
+    window column; `propose` rebuilds only their middles over the rows a
+    child changes, as one block of the window columns over the changed cells.
+    A child that changes no cell shares the state's rows, strips and sums.
+    """
+
+    def __init__(self, grid: TileGrid, side: _Side):
+        self.side = side
+        self.width, self.height = grid.width, grid.height
+        self.rows: list[str] = list(grid.rows)
+        dims = side.config.dims
+        self.strips = _strips(self.rows, 0, self.width - dims.width + 1, dims.width)
+        # A plain dict: Counter's __delitem__, which commit calls, runs in Python.
+        self.counts = dict(Counter(_window_keys(self.strips, dims, self.height)))
+        self.sum_p_q, self.sum_q_p = side.sums(self.counts)
+        self.bits = side.bits
 
     def fitness(self) -> float:
         """Fitness of the committed candidate."""
-        return self._fitness(self.sum_p_q, self.sum_q_p)
+        return self.side.fitness(self.bits, self.sum_p_q, self.sum_q_p)
 
     def grid(self) -> TileGrid:
         return TileGrid(tuple(self.rows))
@@ -258,7 +270,7 @@ class CandidateCounts:
         rows, strips = self.rows, self.strips
         gone: list[str] = []
         new: list[str] = []
-        dims = self.config.dims
+        dims = self.side.config.dims
         fw, fh = dims.width, dims.height
         for edit in edits:
             x, y, patch = edit.x, edit.y, edit.rows
@@ -302,19 +314,20 @@ class CandidateCounts:
 
     def _child(self, rows: list[str], strips: list[str], delta: dict[str, int]) -> Child:
         """The child with these rows and strips; its counts differ from the state's by `delta`."""
-        bits, sum_p_q, sum_q_p = self.bits, self.sum_p_q, self.sum_q_p
-        get_q, get_p = self.counts.get, self.training.counts.get
-        summands = self._summands
+        side, bits = self.side, self.side.bits
+        sum_p_q, sum_q_p = self.sum_p_q << (bits - self.bits), self.sum_q_p << (bits - self.bits)
+        get_q, get_p = self.counts.get, side.training.counts.get
         for key, change in delta.items():
             if change:
                 p_count, q_count = get_p(key, 0), get_q(key, 0)
-                old_p_q, old_q_p = summands[p_count, q_count]
-                new_p_q, new_q_p = summands[p_count, q_count + change]
+                old_p_q, old_q_p = side[p_count, q_count]
+                new_p_q, new_q_p = side[p_count, q_count + change]
                 sum_p_q += new_p_q - old_p_q
                 sum_q_p += new_q_p - old_q_p
-        if self.bits != bits:  # a new summand refined the unit part-way: add up again
+        if side.bits != bits:  # a new summand refined the unit part-way: add up again
             return self._child(rows, strips, delta)
-        return Child(rows, strips, delta, bits, sum_p_q, sum_q_p, self._fitness(sum_p_q, sum_q_p))
+        fitness = side.fitness(bits, sum_p_q, sum_q_p)
+        return Child(rows, strips, delta, bits, sum_p_q, sum_q_p, fitness)
 
     def commit(self, child: Child) -> None:
         """Adopt a child proposed from the current state."""
@@ -325,9 +338,7 @@ class CandidateCounts:
                 if not count:
                     del counts[key]
         self.rows, self.strips = child.rows, child.strips
-        # A later proposal may have made the unit finer since this one.
-        self.sum_p_q = child.sum_p_q << (self.bits - child.bits)
-        self.sum_q_p = child.sum_q_p << (self.bits - child.bits)
+        self.bits, self.sum_p_q, self.sum_q_p = child.bits, child.sum_p_q, child.sum_q_p
 
 
 def random_init(
@@ -371,7 +382,8 @@ def hill_climb(
     p_dist = merge_distributions(level_distributions(training, dims))
     rng = random.Random(config.seed)
     grid = random_init(training.symbols, config.target_width, height, rng)
-    state = CandidateCounts(grid, p_dist, config.divergence)
+    total = window_count(config.target_width, height, dims)
+    state = CandidateCounts(grid, _Side(p_dist, config.divergence, total))
     parent_fitness = state.fitness()
     sink(parent_fitness)
     mutation = config.mutation
@@ -407,9 +419,14 @@ def snippet_fitness(
                 f"snippet width {snippet_width} exceeds level {name} "
                 f"width {grid.width}"
             )
+    # One side per level height: every snippet of that height has one window total.
+    sides: dict[int, _Side] = {}
     results = []
     for _, grid in training:
-        state = CandidateCounts(grid.crop(0, 0, snippet_width, grid.height), p_dist, config)
+        if grid.height not in sides:
+            total = window_count(snippet_width, grid.height, dims)
+            sides[grid.height] = _Side(p_dist, config, total)
+        state = CandidateCounts(grid.crop(0, 0, snippet_width, grid.height), sides[grid.height])
         results.append((0, state.fitness()))
         columns, first = grid.width - dims.width + 1, snippet_width - dims.width + 1
         entering = chain.from_iterable(
@@ -423,8 +440,8 @@ def snippet_fitness(
             strips.append(strip)
             delta = Counter(_window_keys([strip], dims, grid.height))
             delta.subtract(_window_keys(state.strips[:1], dims, grid.height))
-            rows = [row[offset : offset + snippet_width] for row in grid.rows]
-            child = state._child(rows, strips, delta)
+            # The slide reads only strips, so the rows stay the first snippet's.
+            child = state._child(state.rows, strips, delta)
             state.commit(child)
             results.append((offset, child.fitness))
     return results

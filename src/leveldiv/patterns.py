@@ -42,25 +42,6 @@ class FilterDims(NamedTuple):
         return f"{self.width}x{self.height}"
 
 
-@record
-class Pattern(NamedTuple):
-    """One window's cells in row-major order."""
-
-    dims: FilterDims
-    cells: str
-
-    def _check(self) -> None:
-        if len(self.cells) != self.dims.width * self.dims.height:
-            raise ValueError(
-                f"pattern cells length {len(self.cells)} != {self.dims.width}x{self.dims.height}"
-            )
-
-    @property
-    def key(self) -> str:
-        """Stable text key: dims header plus row-major cells."""
-        return f"{self.dims}:{self.cells}"
-
-
 def window_count(grid_width: int, grid_height: int, dims: FilterDims) -> int:
     """Number of window placements of `dims` inside a grid."""
     if dims.width > grid_width or dims.height > grid_height:

@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bundled import DATA, load_smb_level
-from leveldiv import TileGrid, patterns
+from leveldiv import TileGrid, analysis, evolve, patterns
 
 
 # Tiles of 1-, 2- and 4-byte string kinds: a row or key of them mixes kinds.
@@ -51,3 +51,19 @@ def counts_alive(monkeypatch):
 
     monkeypatch.setattr(patterns, "extract_distribution", tracked)
     return alive
+
+
+@pytest.fixture
+def sides_built(monkeypatch):
+    """Wrap the training side that `evolve` and `analysis` build, so each one
+    built records its (filter dims, candidate window total)."""
+    built = []
+
+    class Side(evolve._Side):
+        def __init__(self, training, config, total):
+            built.append((config.dims, total))
+            super().__init__(training, config, total)
+
+    monkeypatch.setattr(evolve, "_Side", Side)
+    monkeypatch.setattr(analysis, "_Side", Side)
+    return built

@@ -30,7 +30,8 @@ from leveldiv import (
     snippet_fitness,
 )
 from bundled import SMB_LEVEL_TYPES, load_smb_corpus
-from leveldiv.evolve import CandidateCounts, random_init
+from leveldiv.evolve import CandidateCounts, _Side, random_init
+from leveldiv.patterns import window_count
 from oracles import mp_fitness, mp_kl, random_rows
 
 mpmath.mp.dps = 50
@@ -294,7 +295,7 @@ def test_criterion_8_incremental_equals_scratch(training_set):
     training_dist = extract_distribution(training_set.grids[0], dims)
     rng = random.Random(99)
     state = CandidateCounts(
-        random_init(training_set.symbols, 30, 14, rng), training_dist, config
+        random_init(training_set.symbols, 30, 14, rng), _Side(training_dist, config, window_count(30, 14, dims))
     )
     mismatches = 0
     for step in range(1000):

@@ -32,6 +32,7 @@ from bundled import SMB_LEVEL_TYPES, load_smb_corpus, load_smb_level
 from leveldiv.analysis import _newick_label
 from leveldiv.divergence import weighted_divergence
 from leveldiv.evolve import random_init
+from leveldiv.patterns import window_count
 from conftest import filled
 from oracles import (
     mp_kl,
@@ -365,6 +366,36 @@ def test_compare_sets_singleton_matches_direct_fitness(tmp_path):
     assert table.rows == ("gen",)
     assert table.columns == ((dims, 0.3),)
     assert table.skipped == (0,)
+
+
+def test_compare_sets_shares_one_side_per_filter_and_window_total(tmp_path, sides_built):
+    training = LevelSet.from_grids(
+        (name, load_smb_level(name)) for name in ("mario-1-1", "mario-2-1")
+    )
+    # One level per directory, cut 30 or 24 wide from other levels and from the training set.
+    cuts = [("mario-1-2", 0, 30), ("mario-1-3", 10, 24), ("mario-3-1", 40, 30),
+            ("mario-4-2", 5, 24), ("mario-1-1", 60, 30)]
+    levels, dirs = [], []
+    for i, (name, x, width) in enumerate(cuts):
+        grid = load_smb_level(name).crop(x, 0, width, 14)
+        _write_levels(tmp_path / f"gen{i}", [(name, grid)])
+        levels.append(grid)
+        dirs.append(tmp_path / f"gen{i}")
+    filters, weights = [FilterDims(2, 2), FilterDims(4, 4)], [0.0, 0.3, 1.0]
+    table = compare_sets(training, dirs, filters, weights)
+    # Built on first use: both filters of the first directory, then of the second.
+    assert sides_built == [(dims, window_count(width, 14, dims))
+                           for width in (30, 24) for dims in filters]
+    p_dists = {
+        dims: merge_distributions(extract_distribution(g, dims) for g in training.grids)
+        for dims in filters
+    }
+    for grid, row in zip(levels, table.cells):
+        for (dims, weight), cell in zip(table.columns, row):
+            q_dist = extract_distribution(grid, dims)
+            direct = fitness(p_dists[dims], q_dist, DivergenceConfig(dims=dims, weight=weight))
+            assert cell.count == 1
+            assert cell.mean.hex() == (-direct.fitness).hex()
 
 
 def test_compare_sets_mean_and_std(tmp_path):

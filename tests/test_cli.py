@@ -157,7 +157,7 @@ def test_analyze_contributions_csv_bytes(capsys, tmp_path):
     contrib = tmp_path / "contrib.csv"
     lines = ["pattern_key,p_prime,q_prime,summand\n"]
     # floats at full round-trip precision
-    lines += [f"{e.pattern.key},{e.p_prime!r},{e.q_prime!r},{e.summand!r}\n" for e in report]
+    lines += [f"1x1:{e.cells},{e.p_prime!r},{e.q_prime!r},{e.summand!r}\n" for e in report]
     assert len(lines) == 3
     for top, expected in ((None, lines), ("1", lines[:2])):
         flags = () if top is None else ("--top", top)

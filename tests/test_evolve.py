@@ -24,7 +24,8 @@ from leveldiv import (
 )
 from bundled import load_smb_level
 from leveldiv import evolve
-from leveldiv.evolve import MAX_TARGET_CELLS, CandidateCounts, random_init
+from leveldiv.evolve import MAX_TARGET_CELLS, CandidateCounts, _Side, random_init
+from leveldiv.patterns import window_count
 from conftest import WIDE_TILES, filled
 
 
@@ -43,10 +44,17 @@ def _symbols(symbols):
     return LevelSet.from_grids([("symbols", TileGrid((symbols,)))])
 
 
+def _counts(grid, p_dist, config):
+    """The climb state of `grid` against `p_dist`, on a side of its own."""
+    return CandidateCounts(
+        grid, _Side(p_dist, config, window_count(grid.width, grid.height, config.dims))
+    )
+
+
 def _state(grid, training, dims):
     """The climb state of `grid` against the merged training levels."""
     p_dist = merge_distributions(extract_distribution(g, dims) for g in training.grids)
-    return CandidateCounts(grid, p_dist, DivergenceConfig(dims=dims))
+    return _counts(grid, p_dist, DivergenceConfig(dims=dims))
 
 
 def _scratch(p_dist, grid, config):
@@ -236,7 +244,7 @@ def test_candidate_counts_propose_and_commit():
         state.commit(child)
         fresh = extract_distribution(state.grid(), dims)
         assert state.counts == fresh.counts
-        assert state.total == fresh.total
+        assert state.side.total == fresh.total
         assert state.fitness() == child.fitness
 
 
@@ -282,7 +290,7 @@ def test_candidate_counts_propose_at_clamped_edges():
     for dims in (FilterDims(3, 2), FilterDims(1, 4)):
         config = DivergenceConfig(dims=dims)
         p_dist = extract_distribution(training.grids[0], dims)
-        state = CandidateCounts(random_init(training.symbols, width, height, rng), p_dist, config)
+        state = _counts(random_init(training.symbols, width, height, rng), p_dist, config)
         children = []
         for ew, eh in ((1, 1), (2, 3), (4, 2), (3, 3)):
             for x in (0, (width - ew) // 2, width - ew):
@@ -349,7 +357,7 @@ def test_candidate_counts_fitness_matches_scratch():
     p_dist = merge_distributions(
         [extract_distribution(g, dims) for g in training.grids]
     )
-    state = CandidateCounts(random_init(training.symbols, 10, 6, rng), p_dist, config)
+    state = _counts(random_init(training.symbols, 10, 6, rng), p_dist, config)
     for _ in range(50):
         edit = GridEdit(
             rng.randint(0, 8), rng.randint(0, 4),
@@ -371,13 +379,13 @@ def test_candidate_counts_commit_after_a_finer_proposal():
     dims = FilterDims(2, 2)
     config = DivergenceConfig(dims=dims)
     p_dist = extract_distribution(training.grids[0], dims)
-    state = CandidateCounts(random_init(training.symbols, 10, 6, rng), p_dist, config)
+    state = _counts(random_init(training.symbols, 10, 6, rng), p_dist, config)
     refined = 0
     for _ in range(200):
         first = state.propose(Conv().edits(state.rows, training, dims, rng))
-        bits = state.bits
+        bits = state.side.bits
         state.propose(Flip(3.0).edits(state.rows, training, dims, rng))
-        refined += state.bits > bits
+        refined += state.side.bits > bits
         state.commit(first)
         assert state.fitness() == first.fitness == _scratch(p_dist, state.grid(), config)
     assert refined
@@ -418,7 +426,7 @@ def test_incremental_fitness_equals_scratch_under_random_edits(data):
         return TileGrid(data.draw(_rows(symbols, width, height)))
 
     p_dist = extract_distribution(grid(), dims)
-    state = CandidateCounts(grid(), p_dist, config)
+    state = _counts(grid(), p_dist, config)
     # Each step's edits are drawn against the rows committed so far.
     for _ in range(data.draw(st.integers(0, 8))):
         edits = data.draw(st.lists(_edit(symbols, state.rows), max_size=3))
@@ -437,7 +445,7 @@ def test_incremental_fitness_equals_scratch_under_random_edits(data):
 def test_candidate_counts_dims_guard():
     p_dist = extract_distribution(filled("a", 4, 4), FilterDims(2, 2))
     with pytest.raises(LevelDivError, match="training distribution is 2x2 but config expects 3x3"):
-        CandidateCounts(filled("a", 4, 4), p_dist, DivergenceConfig(dims=FilterDims(3, 3)))
+        _Side(p_dist, DivergenceConfig(dims=FilterDims(3, 3)), 4)
 
 
 def test_hill_climb_determinism():
@@ -623,6 +631,35 @@ def test_snippet_fitness_multiple_levels():
         assert [(offset, value.hex()) for offset, value in rows] == expected
 
 
+def test_snippet_fitness_shares_one_side_per_level_height(sides_built):
+    # Two levels 14 high around one cut to 10 rows: two heights, two sides.
+    levels = LevelSet.from_grids([
+        ("mario-1-1", load_smb_level("mario-1-1")),
+        ("short", load_smb_level("mario-1-2").crop(0, 4, 60, 10)),
+        ("mario-4-2", load_smb_level("mario-4-2")),
+    ])
+    width = 24
+    for dims in (FilterDims(2, 2), FilterDims(4, 4)):
+        config = DivergenceConfig(dims=dims, weight=0.3)
+        p_dist = merge_distributions(extract_distribution(g, dims) for g in levels.grids)
+        sides_built.clear()
+        rows = snippet_fitness(levels, width, config)
+        assert sides_built == [(dims, window_count(width, h, dims)) for h in (14, 10)]
+        expected = [
+            (offset, _scratch(p_dist, grid.crop(offset, 0, width, grid.height), config).hex())
+            for grid in levels.grids
+            for offset in range(grid.width - width + 1)
+        ]
+        assert [(offset, value.hex()) for offset, value in rows] == expected
+
+
+def test_hill_climb_builds_one_side(sides_built):
+    config = _small_config()
+    _climb(_training_set(), config)
+    dims = config.divergence.dims
+    assert sides_built == [(dims, window_count(config.target_width, config.target_height, dims))]
+
+
 def test_snippet_fitness_errors(mario_1_1):
     training = LevelSet.from_grids([("mario-1-1", mario_1_1)])
     with pytest.raises(LevelDivError, match="snippet width 300 exceeds level mario-1-1 width 229"):
@@ -638,12 +675,12 @@ def test_incremental_equals_scratch_under_mutation_stream():
     config = DivergenceConfig(dims=dims)
     p_dist = extract_distribution(training.grids[0], dims)
     rng = random.Random(55)
-    state = CandidateCounts(random_init(training.symbols, 30, 14, rng), p_dist, config)
+    state = _counts(random_init(training.symbols, 30, 14, rng), p_dist, config)
     for step in range(100):
         mutation = Flip(3.0) if step % 2 else Conv()
         child = state.propose(mutation.edits(state.rows, training, dims, rng))
         state.commit(child)
-        scratch_state = CandidateCounts(state.grid(), p_dist, config)
+        scratch_state = _counts(state.grid(), p_dist, config)
         assert child.fitness == scratch_state.fitness() == state.fitness()
 
 
@@ -678,7 +715,7 @@ def test_candidate_counts_whole_grid_edit_matches_full_extraction():
     state.commit(state.propose([GridEdit(0, 0, replacement.rows)]))
     fresh = extract_distribution(replacement, dims)
     assert state.counts == fresh.counts
-    assert state.total == fresh.total
+    assert state.side.total == fresh.total
 
 
 def test_snippet_fitness_full_width_is_zero(mario_1_1):
@@ -724,7 +761,7 @@ def test_climb_and_snippets_over_non_ascii_tiles():
             snippet = level.crop(offset, 0, 5, level.height)
             assert value.hex() == _scratch(p_dist, snippet, config).hex()
         # Each child's strips and fitness, against a rebuild and a recount.
-        state = CandidateCounts(_wide_tile_level(9, 4, 31), p_dist, config)
+        state = _counts(_wide_tile_level(9, 4, 31), p_dist, config)
         rng = random.Random(37)
         for _ in range(40):
             child = state.propose(Conv().edits(state.rows, training, dims, rng))

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from leveldiv import (
     FilterDims,
     LevelDivError,
-    Pattern,
     TileGrid,
     extract_distribution,
     merge_distributions,
 )
+from leveldiv.cli import dispatch
 from leveldiv.patterns import _BLOCK, _strips, level_distributions, window_count
 from conftest import WIDE_TILES, filled
 from oracles import naive_window_counts, random_rows
@@ -43,11 +43,12 @@ def test_window_count_formula():
         window_count(3, 3, FilterDims(1, 4))
 
 
-def test_pattern_key():
-    pattern = Pattern(FilterDims(2, 2), "ab-X")
-    assert pattern.key == "2x2:ab-X"
-    with pytest.raises(ValueError):
-        Pattern(FilterDims(2, 2), "abc")
+def test_pattern_key(tmp_path, capsys):
+    # A pattern's CSV key is its filter dims, a colon and its row-major cells.
+    level = tmp_path / "level.txt"
+    level.write_text("ab-\n-Xa\n")
+    assert dispatch(["patterns", str(level), "--filter", "2x2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["2x2:ab-X,1", "2x2:b-Xa,1"]
 
 
 def test_extract_tiny_grid_by_hand():

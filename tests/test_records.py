@@ -24,7 +24,6 @@ from leveldiv import (
     HeatmapTable,
     LevelDivError,
     LevelSet,
-    Pattern,
     TileGrid,
     average_linkage,
     compare_sets,
@@ -37,13 +36,12 @@ from leveldiv.cli import dispatch
 
 GRID = TileGrid(("ab", "ba"))
 DIMS = FilterDims(2, 2)
-PATTERN = Pattern(DIMS, "abba")
 LEVELS = LevelSet.from_grids([("g", GRID), ("h", TileGrid(("bb", "aa")))])
 MERGE = DendrogramMerge(0, 1, 2.5)
 
 # One valid instance of every public record.
 EXAMPLES = {
-    "ContributionEntry": ContributionEntry(PATTERN, 0.5, 0.25, 0.125),
+    "ContributionEntry": ContributionEntry("abba", 0.5, 0.25, 0.125),
     "Conv": Conv(),
     "Dendrogram": Dendrogram(("a", "b"), (MERGE,)),
     "DendrogramMerge": MERGE,
@@ -58,7 +56,6 @@ EXAMPLES = {
     "HeatmapCell": HeatmapCell(0.5, 0.0, 3),
     "HeatmapTable": HeatmapTable(("gen",), ((DIMS, 0.5),), ((HeatmapCell(0.5, 0.0, 3),),), (0,)),
     "LevelSet": LEVELS,
-    "Pattern": PATTERN,
     "PatternDistribution": extract_distribution(GRID, FilterDims(1, 1)),
     "TileGrid": GRID,
 }
@@ -71,7 +68,6 @@ BAD = {
     "FilterDims": ("height", 0, ValueError, "filter dims must be >= 1, got 2x0"),
     "Flip": ("rate", float("nan"), ValueError, "flip rate must be finite and > 0, got nan"),
     "LevelSet": ("levels", (("g", GRID), ("g", GRID)), LevelDivError, "duplicate level names"),
-    "Pattern": ("cells", "abb", ValueError, "pattern cells length 3 != 2x2"),
     "TileGrid": ("rows", ("ab", "a"), LevelDivError, "row 1 has length 1, expected 2"),
 }
 
