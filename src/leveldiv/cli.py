@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 # argparse imports locale (through gettext) whenever it builds a parser, so
 # every command needs it: importing it here keeps that fixed cost in start-up.
 import locale  # noqa: F401
@@ -358,7 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: Sequence[str] | None = None) -> int:
-    """Run one command line and return the exit code instead of exiting."""
+    """Run one command line and return the exit code instead of exiting.
+
+    The parser is freed before the command runs, so a command's peak memory
+    holds only its own work. argparse actions point back at their parser, so
+    freeing it takes a collection of the young generations.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -367,6 +373,8 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return 1
+    del parser
+    gc.collect(1)
     try:
         _check_outputs(args)
         return args.func(args)

@@ -433,13 +433,14 @@ def snippet_fitness(
             _strips(grid.rows, x, min(_BLOCK, columns - x), dims.width)
             for x in range(first, columns, _BLOCK)
         )
+        spans = _spans(dims, range(grid.height - dims.height + 1))
         for offset, strip in enumerate(entering, 1):
             # One step right: the first strip, whose keys are the windows at
             # column offset-1, leaves, and the one at the new right edge enters.
             strips = state.strips[1:]
             strips.append(strip)
-            delta = Counter(_window_keys([strip], dims, grid.height))
-            delta.subtract(_window_keys(state.strips[:1], dims, grid.height))
+            delta = Counter(map(strip.__getitem__, spans))
+            delta.subtract(map(state.strips[0].__getitem__, spans))
             # The slide reads only strips, so the rows stay the first snippet's.
             child = state._child(state.rows, strips, delta)
             state.commit(child)

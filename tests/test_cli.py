@@ -1,10 +1,12 @@
 import argparse
 import csv
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from itertools import accumulate, count
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import leveldiv
+import leveldiv.cli
 from leveldiv import (
     DivergenceConfig,
     EvolutionConfig,
@@ -664,6 +667,31 @@ def test_every_parsed_flag_is_read(capsys, tmp_path):
         assert func(args) == 0, argv
         assert sorted({a.dest for a in actions} - reads) == [], argv
     capsys.readouterr()
+
+
+def test_parser_is_freed_before_the_command_runs(monkeypatch):
+    refs, seen = [], []
+
+    def build():
+        parser = build_parser()
+        refs.append(weakref.ref(parser))
+        return parser
+
+    def command(args):
+        parsers = [o for o in gc.get_objects() if isinstance(o, leveldiv.cli._Parser)]
+        seen.append((refs[0]() is None, len(parsers)))
+        return 0
+
+    # Both are patched before dispatch: set_defaults reads _cmd_patterns when
+    # the parser is built.
+    monkeypatch.setattr(leveldiv.cli, "build_parser", build)
+    monkeypatch.setattr(leveldiv.cli, "_cmd_patterns", command)
+    # No parser of an earlier test is left, and this one's start in the young
+    # generations.
+    gc.collect()
+    assert dispatch(["patterns", "any.txt"]) == 0
+    # The top parser is dead, and so are its subcommands' parsers.
+    assert seen == [(True, 0)]
 
 
 def test_exit_code_data_errors(capsys, tmp_path, monkeypatch):
