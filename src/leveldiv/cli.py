@@ -265,12 +265,21 @@ def _cmd_snippets(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for a command line: every command is registered with its
+    help line, but only those that `argv` names get their arguments (all of
+    them when `argv` is None). argparse runs only the named command's parser,
+    and the top-level help, usage and errors read only names and help lines,
+    so the parser behaves as the full one does on `argv`."""
     parser = _Parser(
         prog="leveldiv",
         description="Tile-pattern divergence tools for 2-D game levels.",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+
+    def command(name: str, summary: str) -> _Parser | None:
+        p = sub.add_parser(name, help=summary)
+        return p if argv is None or name in argv else None
 
     def common(p: _Parser, *flags: str) -> None:
         if "epsilon" in flags:
@@ -288,72 +297,72 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-v", "--verbose", action="count", default=0,
                            help="progress notes on stderr")
 
-    p = sub.add_parser("patterns", help="pattern frequency CSV for levels")
-    p.add_argument("levels", nargs="+", metavar="LEVEL",
-                   help="level file ('-' reads stdin); several are merged")
-    common(p, "filter", "verbose")
-    p.set_defaults(func=_cmd_patterns)
+    if (p := command("patterns", "pattern frequency CSV for levels")) is not None:
+        p.add_argument("levels", nargs="+", metavar="LEVEL",
+                       help="level file ('-' reads stdin); several are merged")
+        common(p, "filter", "verbose")
+        p.set_defaults(func=_cmd_patterns)
 
-    p = sub.add_parser("analyze", help="divergence report between two levels")
-    p.add_argument("p_level", metavar="P_LEVEL", help="distribution P (training side)")
-    p.add_argument("q_level", metavar="Q_LEVEL", help="distribution Q (candidate side)")
-    p.add_argument("--contributions", metavar="PATH",
-                   help="also write per-pattern contributions of kl_p_q as CSV")
-    p.add_argument("--top", type=_positive_int,
-                   help="keep only the largest N contributions")
-    common(p, "epsilon", "filter", "weight")
-    p.set_defaults(func=_cmd_analyze)
+    if (p := command("analyze", "divergence report between two levels")) is not None:
+        p.add_argument("p_level", metavar="P_LEVEL", help="distribution P (training side)")
+        p.add_argument("q_level", metavar="Q_LEVEL", help="distribution Q (candidate side)")
+        p.add_argument("--contributions", metavar="PATH",
+                       help="also write per-pattern contributions of kl_p_q as CSV")
+        p.add_argument("--top", type=_positive_int,
+                       help="keep only the largest N contributions")
+        common(p, "epsilon", "filter", "weight")
+        p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("evolve", help="hill-climb a level against training data")
-    p.add_argument("levels", nargs="+", metavar="TRAINING",
-                   help="training level file(s), '-' reads stdin")
-    p.add_argument("--budget", type=int, default=10_000,
-                   help="fitness evaluations (default 10000)")
-    p.add_argument("--width", type=_positive_int, default=30,
-                   help="target level width (default 30)")
-    p.add_argument("--height", type=_positive_int,
-                   help="target level height (default: training height)")
-    p.add_argument("--mutation", choices=("flip", "conv"), default="conv",
-                   help="mutation operator (default conv)")
-    p.add_argument("--flip-rate", type=float, default=3.0,
-                   help="expected tile flips per application (default 3)")
-    p.add_argument("--seed", type=int,
-                   help="RNG seed; drawn from system entropy when omitted")
-    p.add_argument("--trace", metavar="PATH",
-                   help="write the per-evaluation fitness trace as CSV")
-    common(p, "epsilon", "filter", "weight", "verbose")
-    p.set_defaults(func=_cmd_evolve)
+    if (p := command("evolve", "hill-climb a level against training data")) is not None:
+        p.add_argument("levels", nargs="+", metavar="TRAINING",
+                       help="training level file(s), '-' reads stdin")
+        p.add_argument("--budget", type=int, default=10_000,
+                       help="fitness evaluations (default 10000)")
+        p.add_argument("--width", type=_positive_int, default=30,
+                       help="target level width (default 30)")
+        p.add_argument("--height", type=_positive_int,
+                       help="target level height (default: training height)")
+        p.add_argument("--mutation", choices=("flip", "conv"), default="conv",
+                       help="mutation operator (default conv)")
+        p.add_argument("--flip-rate", type=float, default=3.0,
+                       help="expected tile flips per application (default 3)")
+        p.add_argument("--seed", type=int,
+                       help="RNG seed; drawn from system entropy when omitted")
+        p.add_argument("--trace", metavar="PATH",
+                       help="write the per-evaluation fitness trace as CSV")
+        common(p, "epsilon", "filter", "weight", "verbose")
+        p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("cluster", help="pairwise matrix and average-linkage tree")
-    p.add_argument("levels", nargs="+", metavar="LEVEL", help="level files")
-    p.add_argument("--cut", type=_positive_int, metavar="K",
-                   help="emit a K-cluster labels CSV instead of the matrix")
-    p.add_argument("--matrix-out", metavar="PATH", help="write the matrix CSV here")
-    p.add_argument("--dendrogram-out", metavar="PATH",
-                   help="write the merge tree as JSON here")
-    p.add_argument("--newick-out", metavar="PATH",
-                   help="write the merge tree in Newick format here")
-    common(p, "epsilon", "filter", "weight")
-    p.set_defaults(func=_cmd_cluster)
+    if (p := command("cluster", "pairwise matrix and average-linkage tree")) is not None:
+        p.add_argument("levels", nargs="+", metavar="LEVEL", help="level files")
+        p.add_argument("--cut", type=_positive_int, metavar="K",
+                       help="emit a K-cluster labels CSV instead of the matrix")
+        p.add_argument("--matrix-out", metavar="PATH", help="write the matrix CSV here")
+        p.add_argument("--dendrogram-out", metavar="PATH",
+                       help="write the merge tree as JSON here")
+        p.add_argument("--newick-out", metavar="PATH",
+                       help="write the merge tree in Newick format here")
+        common(p, "epsilon", "filter", "weight")
+        p.set_defaults(func=_cmd_cluster)
 
-    p = sub.add_parser("compare", help="mean divergence of generated sets vs training")
-    p.add_argument("dirs", nargs="+", metavar="DIR",
-                   help="directories of generated levels, one row each")
-    p.add_argument("--training", action="append", required=True, metavar="LEVEL",
-                   help="training level file; repeat to merge several")
-    p.add_argument("--filters", action="append", type=_dims_arg, metavar="WxH",
-                   help="filter size; repeatable (default 4x4)")
-    p.add_argument("--weights", action="append", type=float, metavar="W",
-                   help="asymmetry weight; repeatable (default 0.5)")
-    common(p, "epsilon")
-    p.set_defaults(func=_cmd_compare)
+    if (p := command("compare", "mean divergence of generated sets vs training")) is not None:
+        p.add_argument("dirs", nargs="+", metavar="DIR",
+                       help="directories of generated levels, one row each")
+        p.add_argument("--training", action="append", required=True, metavar="LEVEL",
+                       help="training level file; repeat to merge several")
+        p.add_argument("--filters", action="append", type=_dims_arg, metavar="WxH",
+                       help="filter size; repeatable (default 4x4)")
+        p.add_argument("--weights", action="append", type=float, metavar="W",
+                       help="asymmetry weight; repeatable (default 0.5)")
+        common(p, "epsilon")
+        p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("snippets", help="fitness of training-level snippets")
-    p.add_argument("levels", nargs="+", metavar="TRAINING", help="training level file(s)")
-    p.add_argument("--width", type=_positive_int, default=30,
-                   help="snippet width in tiles (default 30)")
-    common(p, "epsilon", "filter", "weight", "verbose")
-    p.set_defaults(func=_cmd_snippets)
+    if (p := command("snippets", "fitness of training-level snippets")) is not None:
+        p.add_argument("levels", nargs="+", metavar="TRAINING", help="training level file(s)")
+        p.add_argument("--width", type=_positive_int, default=30,
+                       help="snippet width in tiles (default 30)")
+        common(p, "epsilon", "filter", "weight", "verbose")
+        p.set_defaults(func=_cmd_snippets)
 
     return parser
 
@@ -365,7 +374,9 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     holds only its own work. argparse actions point back at their parser, so
     freeing it takes a collection of the young generations.
     """
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -142,7 +142,7 @@ def _divergences(p: _Table, q: _Table) -> tuple[float, float]:
     p_counts, q_counts = p.counts, q.counts
     common = p_counts.keys() & q_counts.keys()
     shared = Counter(zip(map(p_counts.__getitem__, common), map(q_counts.__getitem__, common)))
-    p_only, q_only = p.seen.copy(), q.seen.copy()
+    p_only, q_only = dict(p.seen), dict(q.seen)
     for (p_count, q_count), n in shared.items():
         p_only[p_count] -= n
         q_only[q_count] -= n

@@ -40,6 +40,11 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _subparsers(parser):
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
 def _stdin(data):
     """A text stdin over raw bytes, as the interpreter sets it up."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
@@ -648,9 +653,9 @@ def test_every_parsed_flag_is_read(capsys, tmp_path):
             return super().__getattribute__(name)
 
     parser = build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(positionals) == set(commands.choices)
-    for name, command in commands.choices.items():
+    commands = _subparsers(parser)
+    assert set(positionals) == set(commands)
+    for name, command in commands.items():
         actions = [a for a in command._actions if a.dest != "help"]
         argv = [name, *positionals[name]]
         for action in actions:
@@ -672,8 +677,8 @@ def test_every_parsed_flag_is_read(capsys, tmp_path):
 def test_parser_is_freed_before_the_command_runs(monkeypatch):
     refs, seen = [], []
 
-    def build():
-        parser = build_parser()
+    def build(argv=None):
+        parser = build_parser(argv)
         refs.append(weakref.ref(parser))
         return parser
 
@@ -692,6 +697,46 @@ def test_parser_is_freed_before_the_command_runs(monkeypatch):
     assert dispatch(["patterns", "any.txt"]) == 0
     # The top parser is dead, and so are its subcommands' parsers.
     assert seen == [(True, 0)]
+
+
+def test_parser_fills_only_the_named_command():
+    full = _subparsers(build_parser())
+    named = _subparsers(build_parser(["patterns", "x.txt"]))
+    assert list(named) == list(full)
+    for name, command in named.items():
+        dests = [a.dest for a in command._actions]
+        if name == "patterns":
+            assert dests == [a.dest for a in full[name]._actions]
+            assert command.get_default("func") is not None
+        else:
+            assert dests == ["help"], name
+
+
+_COMMANDS = tuple(_subparsers(build_parser()))
+_NAMED_ONLY_ARGVS = {
+    **{f"{name} --help": [name, "--help"] for name in _COMMANDS},
+    **{name: [name] for name in _COMMANDS},
+    **{f"{name} --bogus": [name, "--bogus"] for name in _COMMANDS},
+    "evolve x --mutation bogus": ["evolve", "x", "--mutation", "bogus"],
+    "compare d": ["compare", "d"],
+    "--help": ["--help"],
+    "empty": [],
+    "frobnicate": ["frobnicate"],
+    "-h evolve": ["-h", "evolve"],
+    "--bogus evolve x": ["--bogus", "evolve", "x"],
+    "patterns evolve": ["patterns", "evolve"],
+}
+
+
+@pytest.mark.parametrize("argv", _NAMED_ONLY_ARGVS.values(), ids=_NAMED_ONLY_ARGVS)
+def test_named_only_parser_runs_as_the_full_one(capsys, monkeypatch, tmp_path, argv):
+    # A level file named like a command, read by `patterns evolve`.
+    (tmp_path / "evolve").write_text("-X--X\nXX--X\n-XX--\nXXXXX\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    named = _run(capsys, *argv)
+    full_parser = build_parser
+    monkeypatch.setattr(leveldiv.cli, "build_parser", lambda argv=None: full_parser())
+    assert _run(capsys, *argv) == named
 
 
 def test_exit_code_data_errors(capsys, tmp_path, monkeypatch):
